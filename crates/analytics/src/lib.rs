@@ -39,7 +39,6 @@
 pub mod apps;
 pub mod arrays;
 pub mod frontier;
-pub mod parallel;
 pub mod schedule;
 pub mod verify;
 

@@ -1,5 +1,5 @@
 //! One module per reproduced table/figure. Each exposes
-//! `run(&Harness) -> String` returning a formatted report.
+//! `run(&Session) -> String` returning a formatted report.
 
 pub mod ablation;
 pub mod composed;

@@ -17,18 +17,13 @@
 //! repro --techniques dbg,sort all  # only these techniques
 //! repro --apps pr,sssp fig6        # only these applications
 //! ```
-//!
-//! The legacy [`Harness`] type remains as a deprecated adapter from
-//! the old `TechniqueId`-keyed API onto `Session`.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod experiments;
-pub mod harness;
 pub mod table;
 
-pub use harness::{Harness, HarnessConfig};
 pub use lgr_engine::{
     AppSpec, DatasetSpec, Job, Report, Session, SessionConfig, SpecError, TechniqueSpec,
 };

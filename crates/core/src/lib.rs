@@ -60,4 +60,4 @@ pub use framework::GroupingSpec;
 pub use gorder::Gorder;
 pub use grouping::{Dbg, HubCluster, HubClusterOriginal, HubSort, HubSortOriginal, Sort};
 pub use random::{RandomCacheBlock, RandomVertex};
-pub use technique::{Identity, ReorderingTechnique, TechniqueId, TimedReorder};
+pub use technique::{Identity, ReorderingTechnique, TimedReorder};

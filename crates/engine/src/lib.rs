@@ -1,9 +1,8 @@
 //! The string-addressable engine: sessions, specs, and reports.
 //!
-//! This crate is the composable public surface of the reproduction —
-//! the redesign that replaces the closed `TechniqueId` enum-and-match
-//! API with an open one, the way Ligra/GAPBS-style suites expose apps
-//! and orderings by name on the command line:
+//! This crate is the composable public surface of the reproduction.
+//! It addresses apps and orderings by name, the way Ligra/GAPBS-style
+//! suites do on the command line:
 //!
 //! * [`TechniqueSpec`] — a reordering technique parsed from strings
 //!   like `"dbg"`, `"dbg:groups=4"`, `"hubsort-o"`, `"rcb:4"`, with
