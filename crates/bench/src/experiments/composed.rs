@@ -20,6 +20,7 @@ pub fn run(h: &Session) -> String {
     if techniques.is_empty() || apps.is_empty() || datasets.is_empty() {
         return super::skipped("Sec. VII (composed)");
     }
+    h.run_all(&super::roster_jobs(&apps, &datasets, &techniques));
     let labels: Vec<String> = techniques.iter().map(TechniqueSpec::label).collect();
     let mut header = vec!["dataset"];
     header.extend(labels.iter().map(String::as_str));

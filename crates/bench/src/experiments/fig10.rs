@@ -24,6 +24,7 @@ pub fn run(h: &Session) -> String {
     if techs.is_empty() || apps.is_empty() || datasets.is_empty() {
         return super::skipped("Fig. 10");
     }
+    h.run_all(&super::roster_jobs(&apps, &datasets, &techs));
     let labels: Vec<String> = techs.iter().map(TechniqueSpec::label).collect();
     let mut header = vec!["app", "dataset"];
     header.extend(labels.iter().map(String::as_str));

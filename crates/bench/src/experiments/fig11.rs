@@ -17,6 +17,11 @@ pub fn run(h: &Session) -> String {
     }
     // Use the selected spec so `--apps sssp:roots=...` knobs apply.
     let sssp = apps.remove(0);
+    h.run_all(&super::roster_jobs(
+        std::slice::from_ref(&sssp),
+        &datasets,
+        &techs,
+    ));
     let labels: Vec<String> = techs.iter().map(TechniqueSpec::label).collect();
     let traversal_counts = [1u64, 8, 16, 32];
     let mut out = String::new();

@@ -21,6 +21,11 @@ pub fn run(h: &Session) -> String {
     }
     // Use the selected spec so `--apps radii:rounds=...` knobs apply.
     let radii = apps.remove(0);
+    h.run_all(&super::roster_jobs(
+        std::slice::from_ref(&radii),
+        &datasets,
+        &techniques,
+    ));
     let labels: Vec<String> = techniques.iter().map(TechniqueSpec::label).collect();
     let mut header = vec!["dataset"];
     header.extend(labels.iter().map(String::as_str));

@@ -17,6 +17,7 @@ pub fn run(h: &Session) -> String {
     if techs.is_empty() || apps.is_empty() || datasets.is_empty() {
         return super::skipped("Fig. 6");
     }
+    h.run_all(&super::roster_jobs(&apps, &datasets, &techs));
     let mut out = String::new();
     if h.config().datasets.is_none() {
         out.push_str(&panel(

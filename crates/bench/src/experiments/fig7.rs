@@ -13,6 +13,7 @@ pub fn run(h: &Session) -> String {
     if techs.is_empty() || apps.is_empty() || datasets.is_empty() {
         return super::skipped("Fig. 7");
     }
+    h.run_all(&super::roster_jobs(&apps, &datasets, &techs));
     let labels: Vec<String> = techs.iter().map(TechniqueSpec::label).collect();
     let mut header = vec!["dataset", "app"];
     header.extend(labels.iter().map(String::as_str));

@@ -18,13 +18,17 @@ pub fn run(h: &Session) -> String {
     // The untouched ordering is always the leading column; drop an
     // explicit `orig` from the roster so it isn't shown (and its
     // identity permutation not applied) twice.
+    let techs: Vec<TechniqueSpec> = techs
+        .into_iter()
+        .filter(|t| *t != TechniqueSpec::original())
+        .collect();
+    h.run_all(&super::roster_jobs(
+        std::slice::from_ref(&pr),
+        &datasets,
+        &techs,
+    ));
     let orderings: Vec<Option<TechniqueSpec>> = std::iter::once(None)
-        .chain(
-            techs
-                .into_iter()
-                .filter(|t| *t != TechniqueSpec::original())
-                .map(Some),
-        )
+        .chain(techs.into_iter().map(Some))
         .collect();
     let labels: Vec<String> = orderings
         .iter()

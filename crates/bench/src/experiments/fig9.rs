@@ -15,6 +15,7 @@ pub fn run(h: &Session) -> String {
     if apps.is_empty() || dbg.is_empty() || datasets.is_empty() {
         return super::skipped("Fig. 9");
     }
+    h.run_all(&super::roster_jobs(&apps, &datasets, &dbg));
     let mut out = String::new();
     for (tech, title) in [
         (None, "Fig. 9a: L2 miss break-up (%) — original ordering"),

@@ -20,7 +20,7 @@ pub mod table3;
 pub mod table4;
 pub mod table5;
 
-use lgr_engine::Session;
+use lgr_engine::{AppSpec, DatasetSpec, Job, Session, TechniqueSpec};
 
 /// An experiment the `repro` binary can run.
 #[derive(Debug, Clone, Copy)]
@@ -37,6 +37,28 @@ pub struct Experiment {
 /// excluded by the `--techniques` / `--apps` selection.
 pub(crate) fn skipped(title: &str) -> String {
     format!("{title}: skipped (nothing selected by --techniques/--apps)\n")
+}
+
+/// A roster's traced jobs: every app on every dataset, under the
+/// original ordering and under each technique. Experiments hand them
+/// to [`Session::run_all`] up front, then print their tables in
+/// roster order from warm caches.
+pub(crate) fn roster_jobs(
+    apps: &[AppSpec],
+    datasets: &[DatasetSpec],
+    techniques: &[TechniqueSpec],
+) -> Vec<Job> {
+    let mut jobs = Vec::new();
+    for app in apps {
+        for ds in datasets {
+            let original = Job::new(app.clone(), ds.clone());
+            for tech in techniques {
+                jobs.push(original.clone().with_technique(tech.clone()));
+            }
+            jobs.push(original);
+        }
+    }
+    jobs
 }
 
 /// Every reproduced experiment, in paper order.

@@ -16,6 +16,11 @@ pub fn run(h: &Session) -> String {
     }
     // Use the selected spec so `--apps pr:iters=...` knobs apply.
     let pr = apps.remove(0);
+    h.run_all(&super::roster_jobs(
+        std::slice::from_ref(&pr),
+        &datasets,
+        &techs,
+    ));
     let labels: Vec<String> = techs.iter().map(TechniqueSpec::label).collect();
     let mut header = vec!["dataset"];
     header.extend(labels.iter().map(String::as_str));

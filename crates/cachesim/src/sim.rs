@@ -9,7 +9,7 @@
 //! (PRD, SSSP) generate the coherence traffic the paper measures.
 
 use crate::cache::SetAssocCache;
-use crate::config::SimConfig;
+use crate::config::{SimConfig, MAX_CORES};
 use crate::layout::{AccessPattern, ArrayId, MemoryLayout};
 use crate::stats::SimStats;
 use crate::BLOCK_BYTES;
@@ -51,6 +51,12 @@ pub struct MemorySim {
     l2: Vec<SetAssocCache>,
     llc: Vec<SetAssocCache>,
     directory: Vec<DirEntry>,
+    /// Socket of each core, so no per-access path divides.
+    socket_of: [usize; MAX_CORES],
+    /// Cycles charged per access, indexed `[pattern][serve point]`
+    /// in declaration order: the latency model with its MLP
+    /// divisions done once.
+    charge_cycles: [[u64; 6]; 2],
     stats: SimStats,
 }
 
@@ -65,11 +71,27 @@ impl MemorySim {
     /// divide evenly across sockets.
     pub fn new(config: SimConfig, layout: MemoryLayout) -> Self {
         assert!(
-            config.cores >= 1 && config.cores <= crate::config::MAX_CORES,
-            "1..={} cores supported",
-            crate::config::MAX_CORES
+            config.cores >= 1 && config.cores <= MAX_CORES,
+            "1..={MAX_CORES} cores supported"
         );
-        let _ = config.cores_per_socket(); // validates divisibility
+        // `SimConfig::socket_of` asserts that cores divide evenly.
+        let socket_of = std::array::from_fn(|core| config.socket_of(core));
+        let lat = &config.latency;
+        let charge_cycles = [lat.streaming_mlp, lat.irregular_mlp].map(|mlp| {
+            let mlp = mlp.max(1);
+            let served = [
+                lat.l1,
+                lat.l2 / mlp,
+                lat.l3 / mlp,
+                lat.snoop_local / mlp,
+                lat.snoop_remote / mlp,
+                lat.memory / mlp,
+            ];
+            served.map(|cycles| cycles.max(1))
+        });
+        // Blocks run from 1 (the layout's first base) up to
+        // `total_bytes / BLOCK_BYTES + 1`, so a block number is its own
+        // directory index.
         let num_blocks = (layout.total_bytes() / BLOCK_BYTES + 2) as usize;
         MemorySim {
             l1: (0..config.cores)
@@ -82,6 +104,8 @@ impl MemorySim {
                 .map(|_| SetAssocCache::new(config.llc_bytes, config.llc_ways))
                 .collect(),
             directory: vec![DirEntry::default(); num_blocks],
+            socket_of,
+            charge_cycles,
             config,
             layout,
             stats: SimStats::default(),
@@ -132,7 +156,7 @@ impl MemorySim {
     }
 
     fn access_inner(&mut self, core: usize, block: u64, write: bool) -> ServePoint {
-        let dir_idx = block as usize % self.directory.len();
+        let dir_idx = self.dir_index(block);
 
         // A write to a block other cores hold must invalidate them
         // (RFO), even if our own copy is an L1 hit. This is the source
@@ -208,16 +232,16 @@ impl MemorySim {
         // data, so *its* socket decides the Fig. 9 local/remote
         // split, even when stale sharer bits linger on the
         // requester's socket), else the nearest clean sharer.
-        let my_socket = self.config.socket_of(core);
+        let my_socket = self.socket_of[core];
         let provider = if entry.dirty_owner != NO_OWNER && entry.dirty_owner as usize != core {
             entry.dirty_owner as usize
         } else {
             (0..self.config.cores)
                 .filter(|&c| others & (1 << c) != 0)
-                .min_by_key(|&c| usize::from(self.config.socket_of(c) != my_socket))
+                .min_by_key(|&c| usize::from(self.socket_of[c] != my_socket))
                 .expect("others is non-empty")
         };
-        let served = if self.config.socket_of(provider) == my_socket {
+        let served = if self.socket_of[provider] == my_socket {
             self.stats.l2_breakdown.snoops_local += 1;
             ServePoint::SnoopLocal
         } else {
@@ -251,7 +275,7 @@ impl MemorySim {
         write: bool,
     ) -> ServePoint {
         self.stats.l3.accesses += 1;
-        let my_socket = self.config.socket_of(core);
+        let my_socket = self.socket_of[core];
         let entry = self.directory[dir_idx];
 
         // A dirty copy in another core's cache must be snooped.
@@ -270,10 +294,10 @@ impl MemorySim {
                 // Read: the owner's line is demoted to shared; the
                 // dirty data is written back to the owner's LLC.
                 self.directory[dir_idx].dirty_owner = NO_OWNER;
-                let owner_socket = self.config.socket_of(owner);
+                let owner_socket = self.socket_of[owner];
                 self.llc_fill(owner_socket, block, true);
             }
-            return if self.config.socket_of(owner) == my_socket {
+            return if self.socket_of[owner] == my_socket {
                 self.stats.l2_breakdown.snoops_local += 1;
                 ServePoint::SnoopLocal
             } else {
@@ -306,7 +330,7 @@ impl MemorySim {
         let others = entry.sharers & !(1u16 << core);
         if others != 0 {
             let any_local = (0..self.config.cores)
-                .any(|c| others & (1 << c) != 0 && self.config.socket_of(c) == my_socket);
+                .any(|c| others & (1 << c) != 0 && self.socket_of[c] == my_socket);
             if any_local {
                 self.stats.l2_breakdown.snoops_local += 1;
                 return ServePoint::SnoopLocal;
@@ -337,13 +361,13 @@ impl MemorySim {
     /// the local LLC.
     fn evict_from_l2(&mut self, core: usize, block: u64, dirty: bool) {
         let l1_dirty = self.l1[core].invalidate_block(block).unwrap_or(false);
-        let dir_idx = block as usize % self.directory.len();
+        let dir_idx = self.dir_index(block);
         self.directory[dir_idx].sharers &= !(1u16 << core);
         if self.directory[dir_idx].dirty_owner == core as u8 {
             self.directory[dir_idx].dirty_owner = NO_OWNER;
         }
         if dirty || l1_dirty {
-            let socket = self.config.socket_of(core);
+            let socket = self.socket_of[core];
             self.llc_fill(socket, block, true);
         }
     }
@@ -361,22 +385,19 @@ impl MemorySim {
         }
     }
 
+    /// The block's directory slot: the block number itself, since
+    /// `new` sized the directory past the layout's last block.
+    #[inline]
+    fn dir_index(&self, block: u64) -> usize {
+        debug_assert!(
+            (block as usize) < self.directory.len(),
+            "block {block} outside the layout"
+        );
+        block as usize
+    }
+
     fn charge(&mut self, served: ServePoint, pattern: AccessPattern) {
-        let lat = &self.config.latency;
-        let mlp = match pattern {
-            AccessPattern::Streaming => lat.streaming_mlp,
-            AccessPattern::Irregular => lat.irregular_mlp,
-        }
-        .max(1);
-        let cycles = match served {
-            ServePoint::L1 => lat.l1,
-            ServePoint::L2 => lat.l2 / mlp,
-            ServePoint::L3 => lat.l3 / mlp,
-            ServePoint::SnoopLocal => lat.snoop_local / mlp,
-            ServePoint::SnoopRemote => lat.snoop_remote / mlp,
-            ServePoint::Memory => lat.memory / mlp,
-        };
-        self.stats.cycles += cycles.max(1);
+        self.stats.cycles += self.charge_cycles[pattern as usize][served as usize];
     }
 }
 
@@ -525,7 +546,7 @@ mod tests {
         let (mut sim, a) = sim_with(64);
         sim.write(4, a, 0);
         let block = sim.layout.addr(a, 0) / BLOCK_BYTES;
-        let dir_idx = block as usize % sim.directory.len();
+        let dir_idx = sim.dir_index(block);
         sim.directory[dir_idx].sharers |= 1 << 1;
         let before = sim.stats.l2_breakdown;
         sim.write(0, a, 0);
@@ -569,8 +590,7 @@ mod tests {
             ..Default::default()
         };
         let mut sim = MemorySim::new(cfg, layout);
-        let dlen = sim.directory.len();
-        let dir = move |blk: u64| blk as usize % dlen;
+        let dir = |blk: u64| blk as usize;
 
         sim.write(0, a, 0); // b0 dirty in L1 and L2
         sim.read(0, a, 8); // b1 in L1 and L2; L1 now full {b0, b1}
@@ -598,6 +618,86 @@ mod tests {
         assert!(
             sim.llc[0].contains_block(b[2]),
             "the dirty victim must write back to the LLC"
+        );
+    }
+
+    /// A seeded mixed trace on the default 8-core, 2-socket machine:
+    /// streaming and irregular reads and writes over four arrays whose
+    /// footprint (~650 KiB) overflows both LLCs, so every serve point,
+    /// RFO and eviction path runs. The full `SimStats` is pinned; any
+    /// change to the per-access path must leave it bit-identical.
+    #[test]
+    fn seeded_mixed_trace_stats_are_pinned() {
+        use crate::layout::AccessPattern::Streaming;
+        use crate::stats::{L2MissBreakdown, LevelStats};
+
+        let mut layout = MemoryLayout::new();
+        let edges = layout.register("edges", 65_536, 4, Streaming);
+        let ranks = layout.register("ranks", 32_768, 8, Irregular);
+        let contrib = layout.register("contrib", 16_384, 8, Irregular);
+        let frontier = layout.register("frontier", 8_192, 1, Streaming);
+        let mut sim = MemorySim::new(SimConfig::default(), layout);
+
+        // splitmix64: a fixed stream without a crate dependency.
+        let mut state = 0x5eed_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let mut cursor = [0usize; 8];
+        for _ in 0..200_000 {
+            let r = next();
+            let core = (r % 8) as usize;
+            // A small hot set of ranks keeps cores sharing blocks.
+            let hot = (r >> 8) % 4 != 0;
+            let rank = if hot {
+                (r >> 16) % 512
+            } else {
+                (r >> 16) % 32_768
+            } as usize;
+            match (r >> 40) % 8 {
+                0..=2 => {
+                    let c = &mut cursor[core];
+                    sim.read(core, edges, (core * 8_192 + *c) % 65_536);
+                    *c += 1;
+                }
+                3 | 4 => sim.read(core, ranks, rank),
+                5 => sim.write(core, ranks, rank),
+                6 => sim.write(core, contrib, ((r >> 16) % 16_384) as usize),
+                _ => {
+                    sim.read(core, frontier, cursor[core] % 8_192);
+                    sim.write(core, frontier, (r >> 16) as usize % 8_192);
+                }
+            }
+            sim.instr((r >> 60) + 1);
+        }
+        assert_eq!(
+            *sim.stats(),
+            SimStats {
+                instructions: 1_701_163,
+                l1: LevelStats {
+                    accesses: 224_999,
+                    misses: 119_970,
+                },
+                l2: LevelStats {
+                    accesses: 119_970,
+                    misses: 115_679,
+                },
+                l3: LevelStats {
+                    accesses: 115_679,
+                    misses: 14_959,
+                },
+                l2_breakdown: L2MissBreakdown {
+                    l3_hits: 23_776,
+                    snoops_local: 34_832,
+                    snoops_remote: 42_112,
+                    off_chip: 14_959,
+                },
+                cycles: 7_063_425,
+            }
         );
     }
 

@@ -30,7 +30,8 @@
 //! `reorder_ms`, is measured once per key and then shared). All
 //! threads share the session's single worker [`Pool`]; its broadcasts
 //! serialize internally, so concurrent jobs interleave safely at
-//! data-parallel-section granularity.
+//! data-parallel-section granularity. [`Session::run_all`] relies on
+//! this to drain a batch of traced jobs on several threads at once.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -48,6 +49,7 @@ use lgr_graph::datasets::DatasetScale;
 use lgr_graph::{Csr, DegreeKind, VertexId};
 use lgr_io::DatasetCache;
 use lgr_parallel::Pool;
+use lgr_sync::atomic::{AtomicUsize, Ordering};
 
 use crate::app::AppSpec;
 use crate::coalesce::{CacheConfig, CacheStats, EvictionPolicy, ShardedCache};
@@ -417,6 +419,18 @@ impl Session {
         }
     }
 
+    /// Slot-map entries across every cache, published or in flight —
+    /// the leak check after a failed job: a build that panics must
+    /// leave no slot behind (see [`ShardedCache::tracked_slots`]).
+    pub fn tracked_slots(&self) -> usize {
+        self.graphs.tracked_slots()
+            + self.reorders.tracked_slots()
+            + self.reordered.tracked_slots()
+            + self.root_candidates.tracked_slots()
+            + self.runs.tracked_slots()
+            + self.walls.tracked_slots()
+    }
+
     /// The dataset's graph in its original ordering, materialized (or
     /// loaded from the dataset cache) on first use. Weights are always
     /// attached (SSSP uses them; other apps ignore them): sources that
@@ -630,6 +644,53 @@ impl Session {
                 stats: *sim.stats(),
             }
         })
+    }
+
+    /// Warms the run cache with every job's traced run, so callers
+    /// can then read [`Session::run`] (or anything built on it) in any
+    /// order from warm caches. Two phases:
+    ///
+    /// 1. Serially, every technique job's permutation is computed, so
+    ///    the wall-clock `reorder_ms` measurement never overlaps a
+    ///    simulation.
+    /// 2. The traced runs drain on [`Pool::threads`] scoped threads
+    ///    (the caller is one of them), each pulling the next job from
+    ///    a shared index. Duplicate jobs coalesce in the run cache.
+    ///
+    /// The jobs run on their own threads, not on the session's pool:
+    /// a relabel inside a job broadcasts on that pool, and a
+    /// broadcast from inside a pool job would nest. With one pool
+    /// thread everything runs on the caller, in job order.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises a panicking job's payload (as [`Session::run`] would)
+    /// once every thread has stopped. A thread stops at its first
+    /// panic; the others drain the remaining jobs first.
+    pub fn run_all(&self, jobs: &[Job]) {
+        for job in jobs {
+            if let Some(spec) = &job.technique {
+                self.dataset_reorder(&job.dataset, spec, job.app.id().reorder_degree());
+            }
+        }
+        let next = AtomicUsize::new(0);
+        let drain = || {
+            // ordering: Relaxed — the counter only hands out distinct
+            // indices; each run's result is published by the run cache.
+            while let Some(job) = jobs.get(next.fetch_add(1, Ordering::Relaxed)) {
+                self.run(job);
+            }
+        };
+        let threads = self.pool.threads().min(jobs.len());
+        std::thread::scope(|scope| {
+            let helpers: Vec<_> = (1..threads).map(|_| scope.spawn(drain)).collect();
+            drain();
+            for helper in helpers {
+                if let Err(payload) = helper.join() {
+                    std::panic::resume_unwind(payload);
+                }
+            }
+        });
     }
 
     /// Untraced wall-clock run (same work as [`Session::run`]), cached.

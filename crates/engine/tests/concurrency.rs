@@ -2,10 +2,15 @@
 //! one `Session` with duplicate and distinct specs must (a) produce
 //! reports byte-identical to a sequential run and (b) build each
 //! cache key exactly once — coalescing observed through a counting
-//! custom technique and a counting custom dataset source.
+//! custom technique and a counting custom dataset source. The same
+//! holds for `Session::run_all`, which also computes every
+//! permutation before its first traced run and propagates a job's
+//! panic.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::{mpsc, Arc, Barrier, Mutex};
+use std::time::Duration;
 
 use lgr_core::{Dbg, ReorderingTechnique};
 use lgr_engine::{Job, Session, SessionConfig, TechniqueRegistry, DEFAULT_DBG_HOT_GROUPS};
@@ -277,4 +282,183 @@ fn the_session_itself_is_send_and_sync() {
     fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Session>();
     assert_send_sync::<Arc<Session>>();
+}
+
+/// Serializes the tests that build a session under a pinned
+/// `LGR_THREADS`.
+static THREADS_KNOB: Mutex<()> = Mutex::new(());
+
+/// Runs `build` with `LGR_THREADS` pinned to `threads`, so the
+/// sessions it builds get pools of that size. A pool reads the knob
+/// once, when its session is built, so the pin lasts only for that
+/// call; a session another test builds meanwhile just gets a
+/// different pool size, which no report depends on.
+fn with_threads<T>(threads: usize, build: impl FnOnce() -> T) -> T {
+    let _knob = THREADS_KNOB.lock().unwrap_or_else(|e| e.into_inner());
+    let saved = std::env::var_os("LGR_THREADS");
+    std::env::set_var("LGR_THREADS", threads.to_string());
+    let built = build();
+    match saved {
+        Some(value) => std::env::set_var("LGR_THREADS", value),
+        None => std::env::remove_var("LGR_THREADS"),
+    }
+    built
+}
+
+/// `jobs` followed by each job's original-ordering baseline, the
+/// runs [`Session::report`] reads.
+fn with_baselines(jobs: &[Job]) -> Vec<Job> {
+    let baselines = jobs
+        .iter()
+        .map(|j| Job::new(j.app.clone(), j.dataset.clone()));
+    jobs.iter().cloned().chain(baselines).collect()
+}
+
+#[test]
+fn run_all_matches_a_fresh_sequential_session_at_one_and_two_threads() {
+    let (reference, _, _) = counting_session();
+    let sequential = canonical_lines(&reference, &job_list(&reference));
+    for threads in [1, 2] {
+        let (session, reorder_runs, dataset_builds) = with_threads(threads, counting_session);
+        assert_eq!(session.pool().threads(), threads);
+        let jobs = job_list(&session);
+        session.run_all(&with_baselines(&jobs));
+        let warm = session.cache_stats().runs.misses;
+        assert_eq!(
+            canonical_lines(&session, &jobs),
+            sequential,
+            "run_all at {threads} thread(s) != a fresh sequential session"
+        );
+        assert_eq!(
+            session.cache_stats().runs.misses,
+            warm,
+            "reports after run_all must read warm runs"
+        );
+        assert_eq!(reorder_runs.load(Ordering::SeqCst), EXPECTED_COUNTED_RUNS);
+        assert_eq!(dataset_builds.load(Ordering::SeqCst), EXPECTED_RING_BUILDS);
+    }
+}
+
+#[test]
+fn run_all_builds_each_permutation_once_before_the_first_traced_run() {
+    for threads in [1, 2] {
+        let events: Arc<Mutex<Vec<&'static str>>> = Arc::default();
+        let session = with_threads(threads, || {
+            let mut reg = TechniqueRegistry::new();
+            let log = Arc::clone(&events);
+            reg.register("logged", "DBG that logs each reorder", move |_args| {
+                struct Logged(Arc<Mutex<Vec<&'static str>>>);
+                impl ReorderingTechnique for Logged {
+                    fn name(&self) -> &'static str {
+                        "Logged"
+                    }
+                    fn reorder(&self, graph: &Csr, kind: DegreeKind) -> Permutation {
+                        let p = Dbg::with_hot_groups(DEFAULT_DBG_HOT_GROUPS).reorder(graph, kind);
+                        self.0.lock().unwrap().push("permutation");
+                        p
+                    }
+                }
+                Ok(Box::new(Logged(Arc::clone(&log))))
+            });
+            let mut session =
+                Session::with_registry(SessionConfig::quick().with_scale_exp(10), reg);
+            // Only original-ordering jobs use `late`, so nothing builds
+            // it before its first traced run does.
+            let log = Arc::clone(&events);
+            session.dataset_registry_mut().register(
+                "late",
+                "chorded ring first built by a traced run",
+                move |_args, _scale| {
+                    log.lock().unwrap().push("traced run");
+                    let mut el = EdgeList::new(300);
+                    for v in 0..300 {
+                        el.push(v, (v + 1) % 300);
+                        el.push(v, (v * 7 + 3) % 300);
+                    }
+                    Ok(el)
+                },
+            );
+            session
+        });
+        assert_eq!(session.pool().threads(), threads);
+        let job = |app: &str, ds: &str, tech: Option<&str>| {
+            let mut job = Job::new(
+                app.parse().expect("valid app spec"),
+                session.dataset_registry().parse(ds).expect("valid dataset"),
+            );
+            if let Some(t) = tech {
+                job = job.with_technique(session.registry().parse(t).expect("valid technique"));
+            }
+            job
+        };
+        // Original-ordering jobs lead, so a session that traced jobs in
+        // list order would build `late` before any permutation.
+        let jobs = [
+            job("pr:iters=2", "late", None),
+            job("sssp", "late", None),
+            job("pr:iters=2", "lj", Some("logged")),
+            job("sssp", "lj", Some("logged")), // in-degrees: a second key
+            job("pr:iters=2", "kr", Some("logged")),
+            job("pr:iters=2", "lj", Some("logged")), // duplicate
+        ];
+        session.run_all(&jobs);
+        let events = events.lock().unwrap();
+        let permutations = events.iter().filter(|e| **e == "permutation").count();
+        assert_eq!(permutations, 3, "one build per permutation key: {events:?}");
+        assert_eq!(
+            events.iter().position(|e| *e == "traced run"),
+            Some(permutations),
+            "every permutation must finish before the first traced run: {events:?}"
+        );
+        assert_eq!(
+            events.len(),
+            permutations + 1,
+            "`late` builds once: {events:?}"
+        );
+    }
+}
+
+#[test]
+fn a_panicking_job_propagates_out_of_run_all_and_leaks_no_slot() {
+    let session = with_threads(2, || {
+        let mut session = Session::new(SessionConfig::quick().with_scale_exp(10));
+        session.dataset_registry_mut().register(
+            "boom",
+            "a source whose build panics",
+            |_args, _scale| -> Result<EdgeList, _> { panic!("boom: dataset build failed") },
+        );
+        session
+    });
+    assert_eq!(session.pool().threads(), 2);
+    let boom = session
+        .dataset_registry()
+        .parse("boom")
+        .expect("valid dataset");
+    let jobs: Vec<Job> = ["pr:iters=2", "sssp", "pr:iters=2", "bc"]
+        .into_iter()
+        .map(|app| Job::new(app.parse().expect("valid app spec"), boom.clone()))
+        .collect();
+    let session = Arc::new(session);
+    let (tx, rx) = mpsc::channel();
+    let runner = {
+        let session = Arc::clone(&session);
+        std::thread::spawn(move || {
+            let outcome = catch_unwind(AssertUnwindSafe(|| session.run_all(&jobs)));
+            let message = outcome.err().map(|payload| {
+                payload
+                    .downcast_ref::<&str>()
+                    .map(|s| (*s).to_owned())
+                    .or_else(|| payload.downcast_ref::<String>().cloned())
+                    .unwrap_or_default()
+            });
+            tx.send(message).expect("the test is waiting");
+        })
+    };
+    let message = rx
+        .recv_timeout(Duration::from_secs(120))
+        .expect("run_all deadlocked after a job panicked");
+    runner.join().expect("the panic was caught");
+    let message = message.expect("the job's panic must propagate out of run_all");
+    assert!(message.contains("boom: dataset build failed"), "{message}");
+    assert_eq!(session.tracked_slots(), 0, "a failed build left a slot");
 }
