@@ -58,19 +58,6 @@ fn bench_parallel(c: &mut Criterion) {
         );
     }
     group.finish();
-
-    let mut group = c.benchmark_group("reorder_dbg");
-    group.sample_size(10);
-    group.bench_function("sequential", |b| {
-        b.iter(|| Dbg::default().reorder(&graph, DegreeKind::Out));
-    });
-    for threads in THREADS {
-        let pool = Pool::new(threads);
-        group.bench_with_input(BenchmarkId::new("pooled", threads), &pool, |b, pool| {
-            b.iter(|| Dbg::default().reorder_with(&graph, DegreeKind::Out, pool));
-        });
-    }
-    group.finish();
 }
 
 criterion_group!(benches, bench_parallel);

@@ -18,7 +18,6 @@ use std::error::Error;
 use std::fmt;
 
 use lgr_graph::{Permutation, VertexId};
-use lgr_parallel::{even_ranges, par_chunks_mut, stable_offsets, Pool};
 
 /// Error returned for malformed group boundary specifications.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -148,7 +147,9 @@ impl GroupingSpec {
     /// **DBG** as a grouping (Table V row 4): geometric ranges
     /// `[32A, inf), [16A, 32A), ..., [A, 2A), [A/2, A), [0, A/2)` —
     /// the paper's 8-group configuration, generalized to
-    /// `num_hot_groups` doublings above the average.
+    /// `num_hot_groups` doublings above the average. Past 32 doublings
+    /// every bound saturates at the top of the `u32` degree range, so
+    /// larger counts build the same spec as 32.
     ///
     /// # Panics
     ///
@@ -156,10 +157,11 @@ impl GroupingSpec {
     pub fn dbg(avg_degree: f64, num_hot_groups: u32) -> Self {
         assert!(num_hot_groups >= 1);
         let a = hot_threshold(avg_degree);
-        let mut bounds = Vec::with_capacity(num_hot_groups as usize + 2);
-        // Hot groups: [2^(k)A, 2^(k+1)A) for k = num_hot_groups-1 .. 0.
-        for k in (0..num_hot_groups).rev() {
-            let b = a.saturating_mul(1u32 << k.min(31));
+        let hot = num_hot_groups.min(32);
+        let mut bounds = Vec::with_capacity(hot as usize + 2);
+        // Hot groups: [2^(k)A, 2^(k+1)A) for k = hot-1 .. 0.
+        for k in (0..hot).rev() {
+            let b = a.saturating_mul(1u32 << k);
             bounds.push(b);
         }
         // Cold split at A/2, then the floor group.
@@ -215,32 +217,6 @@ pub fn group_reorder(degrees: &[u32], spec: &GroupingSpec) -> Permutation {
         offsets[g as usize] += 1;
         new_ids[v] = slot as VertexId;
     }
-    Permutation::from_new_ids(new_ids).expect("stable scatter produces a bijection")
-}
-
-/// Pooled counterpart of [`group_reorder`]: per-worker group
-/// histograms merged by prefix sum in worker order, then a parallel
-/// stable scatter. Because every worker owns a contiguous vertex range
-/// and the merge preserves worker order within each group, the result
-/// is identical to the sequential binning for every pool size — the
-/// framework's stable-scatter guarantee holds unchanged.
-pub fn group_reorder_with(degrees: &[u32], spec: &GroupingSpec, pool: &Pool) -> Permutation {
-    if pool.threads() == 1 {
-        return group_reorder(degrees, spec);
-    }
-    let ranges = even_ranges(degrees.len(), pool.threads());
-    let offsets = stable_offsets(pool, &ranges, spec.num_groups(), |v| {
-        spec.group_of(degrees[v])
-    });
-    let mut new_ids = vec![0 as VertexId; degrees.len()];
-    par_chunks_mut(pool, &mut new_ids, &ranges, |w, range, chunk| {
-        let mut cursor = offsets.row(w).to_vec();
-        for (slot, v) in chunk.iter_mut().zip(range) {
-            let g = spec.group_of(degrees[v]);
-            *slot = cursor[g] as VertexId;
-            cursor[g] += 1;
-        }
-    });
     Permutation::from_new_ids(new_ids).expect("stable scatter produces a bijection")
 }
 
@@ -300,6 +276,17 @@ mod tests {
     }
 
     #[test]
+    fn dbg_spec_caps_hot_groups_at_32_doublings() {
+        for avg in [1.0, 2.5, 10.0, 1000.0] {
+            assert_eq!(
+                GroupingSpec::dbg(avg, u32::MAX),
+                GroupingSpec::dbg(avg, 32),
+                "avg {avg}"
+            );
+        }
+    }
+
+    #[test]
     fn hub_clustering_spec() {
         let spec = GroupingSpec::hub_clustering(4.2);
         assert_eq!(spec.lower_bounds(), &[5, 0]);
@@ -318,7 +305,7 @@ mod tests {
     }
 
     #[test]
-    fn group_reorder_with_sort_spec_sorts_descending() {
+    fn group_reorder_by_sort_spec_sorts_descending() {
         let degrees = [3, 1, 4, 1, 5, 9, 2, 6];
         let spec = GroupingSpec::sort(9);
         let perm = group_reorder(&degrees, &spec);

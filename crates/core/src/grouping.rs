@@ -2,9 +2,8 @@
 //! [`framework`](crate::framework) grouping algorithm.
 
 use lgr_graph::{Csr, DegreeKind, Permutation};
-use lgr_parallel::Pool;
 
-use crate::framework::{group_reorder, group_reorder_with, GroupingSpec};
+use crate::framework::{group_reorder, GroupingSpec};
 use crate::technique::ReorderingTechnique;
 
 fn max_degree(degrees: &[u32]) -> u32 {
@@ -53,12 +52,6 @@ impl ReorderingTechnique for Sort {
         let spec = GroupingSpec::sort(max_degree(&degrees));
         group_reorder(&degrees, &spec)
     }
-
-    fn reorder_with(&self, graph: &Csr, kind: DegreeKind, pool: &Pool) -> Permutation {
-        let degrees = kind.degrees_with(graph, pool);
-        let spec = GroupingSpec::sort(max_degree(&degrees));
-        group_reorder_with(&degrees, &spec, pool)
-    }
 }
 
 /// **Hub Sorting** (Zhang et al., a.k.a. frequency-based clustering):
@@ -88,12 +81,6 @@ impl ReorderingTechnique for HubSort {
         let spec = GroupingSpec::hub_sorting(avg_degree(&degrees), max_degree(&degrees));
         group_reorder(&degrees, &spec)
     }
-
-    fn reorder_with(&self, graph: &Csr, kind: DegreeKind, pool: &Pool) -> Permutation {
-        let degrees = kind.degrees_with(graph, pool);
-        let spec = GroupingSpec::hub_sorting(avg_degree(&degrees), max_degree(&degrees));
-        group_reorder_with(&degrees, &spec, pool)
-    }
 }
 
 /// **Hub Clustering** (Balaji & Lucia): segregates hot vertices from
@@ -118,12 +105,6 @@ impl ReorderingTechnique for HubCluster {
         let degrees = kind.degrees(graph);
         let spec = GroupingSpec::hub_clustering(avg_degree(&degrees));
         group_reorder(&degrees, &spec)
-    }
-
-    fn reorder_with(&self, graph: &Csr, kind: DegreeKind, pool: &Pool) -> Permutation {
-        let degrees = kind.degrees_with(graph, pool);
-        let spec = GroupingSpec::hub_clustering(avg_degree(&degrees));
-        group_reorder_with(&degrees, &spec, pool)
     }
 }
 
@@ -198,12 +179,6 @@ impl ReorderingTechnique for Dbg {
         let degrees = kind.degrees(graph);
         let spec = self.spec_for(avg_degree(&degrees));
         group_reorder(&degrees, &spec)
-    }
-
-    fn reorder_with(&self, graph: &Csr, kind: DegreeKind, pool: &Pool) -> Permutation {
-        let degrees = kind.degrees_with(graph, pool);
-        let spec = self.spec_for(avg_degree(&degrees));
-        group_reorder_with(&degrees, &spec, pool)
     }
 }
 

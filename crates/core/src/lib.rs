@@ -46,7 +46,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod classic;
 pub mod composed;
 pub mod framework;
 pub mod gorder;
@@ -54,8 +53,7 @@ pub mod grouping;
 pub mod random;
 pub mod technique;
 
-pub use classic::{BfsOrder, CuthillMcKee};
-pub use composed::{gorder_dbg, Composed, GorderDbg, Pipeline};
+pub use composed::Pipeline;
 pub use framework::GroupingSpec;
 pub use gorder::Gorder;
 pub use grouping::{Dbg, HubCluster, HubClusterOriginal, HubSort, HubSortOriginal, Sort};

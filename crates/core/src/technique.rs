@@ -3,7 +3,6 @@
 use std::time::{Duration, Instant};
 
 use lgr_graph::{Csr, DegreeKind, Permutation};
-use lgr_parallel::Pool;
 
 /// A vertex reordering technique.
 ///
@@ -21,18 +20,6 @@ pub trait ReorderingTechnique {
     /// out-degree for pull-dominated apps, in-degree for push-dominated
     /// ones). Techniques that don't use degrees may ignore it.
     fn reorder(&self, graph: &Csr, kind: DegreeKind) -> Permutation;
-
-    /// Pooled counterpart of [`ReorderingTechnique::reorder`].
-    ///
-    /// Techniques built on the grouping framework override this to run
-    /// degree extraction and stable binning on the pool; the default
-    /// falls back to the sequential path (inherently sequential
-    /// techniques like Gorder stay correct unchanged). Implementations
-    /// must return exactly the permutation `reorder` would: the pool
-    /// only changes *how fast* a relabeling is computed, never *which*.
-    fn reorder_with(&self, graph: &Csr, kind: DegreeKind, _pool: &Pool) -> Permutation {
-        self.reorder(graph, kind)
-    }
 }
 
 /// The do-nothing baseline: every vertex keeps its ID.
@@ -61,7 +48,10 @@ pub struct TimedReorder {
 }
 
 impl TimedReorder {
-    /// Runs `technique` on `graph` and records the elapsed wall time.
+    /// Runs `technique` on `graph` on the calling thread and records
+    /// the elapsed wall time. The reorder time is single-threaded,
+    /// like the untraced run it is charged against in the net-speedup
+    /// analysis, so it does not depend on `LGR_THREADS`.
     pub fn run<T: ReorderingTechnique + ?Sized>(
         technique: &T,
         graph: &Csr,
@@ -69,24 +59,6 @@ impl TimedReorder {
     ) -> TimedReorder {
         let start = Instant::now();
         let permutation = technique.reorder(graph, kind);
-        TimedReorder {
-            permutation,
-            elapsed: start.elapsed(),
-        }
-    }
-
-    /// Runs `technique` on the pool and records the elapsed wall time
-    /// (the paper's reordering implementations are themselves
-    /// parallel, so pooled timings are the fair input to the
-    /// net-speedup analysis).
-    pub fn run_with<T: ReorderingTechnique + ?Sized>(
-        technique: &T,
-        graph: &Csr,
-        kind: DegreeKind,
-        pool: &Pool,
-    ) -> TimedReorder {
-        let start = Instant::now();
-        let permutation = technique.reorder_with(graph, kind, pool);
         TimedReorder {
             permutation,
             elapsed: start.elapsed(),

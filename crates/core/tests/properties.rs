@@ -138,45 +138,4 @@ proptest! {
             last[grp] = Some(v);
         }
     }
-
-    /// Pooled binning is identical to sequential binning for arbitrary
-    /// degree vectors, specs, and thread counts — the stable-scatter
-    /// guarantee is thread-count independent.
-    #[test]
-    fn parallel_group_reorder_matches_sequential(
-        degrees in proptest::collection::vec(0u32..100, 0..200),
-        mut bounds in proptest::collection::vec(1u32..100, 0..6),
-    ) {
-        bounds.sort_unstable_by(|x, y| y.cmp(x));
-        bounds.dedup();
-        bounds.push(0);
-        let spec = GroupingSpec::new(bounds).unwrap();
-        let seq = group_reorder(&degrees, &spec);
-        for threads in [1usize, 2, 3, 8] {
-            let pool = lgr_parallel::Pool::new(threads);
-            let par = lgr_core::framework::group_reorder_with(&degrees, &spec, &pool);
-            prop_assert_eq!(&par, &seq, "threads = {}", threads);
-        }
-    }
-
-    /// Pooled technique dispatch returns exactly the sequential
-    /// permutation for every framework technique.
-    #[test]
-    fn reorder_with_matches_reorder(g in arb_graph()) {
-        let pool = lgr_parallel::Pool::new(4);
-        for kind in [DegreeKind::Out, DegreeKind::In] {
-            for t in [
-                &Sort::new() as &dyn ReorderingTechnique,
-                &HubSort::new(),
-                &HubCluster::new(),
-                &Dbg::default(),
-                &HubSortOriginal::new(),
-                &HubClusterOriginal::new(),
-            ] {
-                let seq = t.reorder(&g, kind);
-                let par = t.reorder_with(&g, kind, &pool);
-                prop_assert_eq!(&par, &seq, "{} mismatch", t.name());
-            }
-        }
-    }
 }

@@ -177,8 +177,10 @@ mod tests {
         let g = Csr::from_edge_list(&community(CommunityConfig::new(512, 6.0).with_seed(4)));
         let spec = reg.parse("gorder+dbg").unwrap();
         let combo = reg.build(&spec).unwrap().reorder(&g, DegreeKind::Out);
-        let seed_impl = lgr_core::gorder_dbg().reorder(&g, DegreeKind::Out);
-        assert_eq!(combo, seed_impl);
+        // Gorder, then DBG on the Gorder-relabeled graph.
+        let p1 = Gorder::new().reorder(&g, DegreeKind::Out);
+        let p2 = Dbg::default().reorder(&g.apply_permutation(&p1), DegreeKind::Out);
+        assert_eq!(combo, p1.then(&p2));
     }
 
     #[test]

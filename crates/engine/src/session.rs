@@ -305,9 +305,9 @@ pub struct Session {
     cfg: SessionConfig,
     registry: TechniqueRegistry,
     dataset_registry: DatasetRegistry,
-    /// Worker pool shared by every CSR build, permutation apply, file
-    /// parse, and framework reordering the session performs — across
-    /// all threads driving the session concurrently. Sized by the
+    /// Worker pool shared by every CSR build, permutation apply and
+    /// file parse the session performs — across all threads driving
+    /// the session concurrently. Sized by the
     /// `LGR_THREADS` knob (default: available parallelism).
     pool: Pool,
     graphs: ShardedCache<DatasetSpec, Csr>,
@@ -367,8 +367,8 @@ impl Session {
         }
     }
 
-    /// The worker pool shared by the session's graph-construction and
-    /// reordering work.
+    /// The worker pool shared by the session's graph construction,
+    /// relabeling and file parsing.
     pub fn pool(&self) -> &Pool {
         &self.pool
     }
@@ -525,8 +525,8 @@ impl Session {
         }
     }
 
-    /// Times `spec`'s reordering of an arbitrary graph on the pool
-    /// (uncached; out-degrees drive hot/cold decisions).
+    /// Times `spec`'s reordering of an arbitrary graph (uncached;
+    /// out-degrees drive hot/cold decisions).
     pub fn reorder(&self, graph: &Csr, spec: &TechniqueSpec) -> TimedReorder {
         self.reorder_with_kind(graph, spec, DegreeKind::Out)
     }
@@ -548,7 +548,7 @@ impl Session {
         let t = self
             .technique(spec)
             .unwrap_or_else(|e| panic!("unresolvable spec `{spec}`: {e}"));
-        TimedReorder::run_with(t.as_ref(), graph, kind, &self.pool)
+        TimedReorder::run(t.as_ref(), graph, kind)
     }
 
     /// The (timed) permutation for `spec` on `ds` using `kind`
@@ -604,11 +604,16 @@ impl Session {
     /// at most one root per candidate — when `count` exceeds the
     /// candidate pool the result is the whole pool, never duplicated
     /// roots (a duplicate would double-charge its traversal in the
-    /// aggregated simulation).
+    /// aggregated simulation). A graph with no candidates falls back
+    /// to vertex 0, or to no roots at all when it has no vertices.
     pub fn roots(&self, ds: &DatasetSpec, count: usize) -> Vec<VertexId> {
         let candidates = self.root_candidates(ds);
         if candidates.is_empty() {
-            return vec![0];
+            return if self.graph(ds).num_vertices() == 0 {
+                Vec::new()
+            } else {
+                vec![0]
+            };
         }
         let k = count.max(1).min(candidates.len());
         (0..k)

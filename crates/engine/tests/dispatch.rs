@@ -8,6 +8,7 @@
 use lgr_analytics::apps::AppId;
 use lgr_engine::{AppSpec, Job, Session, SessionConfig, TechniqueSpec};
 use lgr_graph::datasets::{DatasetId, DatasetScale};
+use lgr_graph::DegreeKind;
 
 /// `report(..).canonicalized().to_json()` for `AppId::ALL` x
 /// {Original, `dbg`}, in that order.
@@ -62,4 +63,48 @@ fn every_app_runs_untraced() {
         let _ = s.wall(&job);
     }
     assert_eq!(s.cache_stats().walls.misses, jobs().len() as u64);
+}
+
+/// FNV-1a-64 over the little-endian bytes of every new ID.
+fn fingerprint(new_ids: &[u32]) -> u64 {
+    new_ids
+        .iter()
+        .flat_map(|id| id.to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
+/// `(spec, out-degree fingerprint, in-degree fingerprint)` of every
+/// built-in permutation on `lj` at sd=2^10. The values do not depend
+/// on `LGR_THREADS`.
+const PINNED_PERMUTATIONS: [(&str, u64, u64); 12] = [
+    ("orig", 0xf5f45328a8ebdb25, 0xf5f45328a8ebdb25),
+    ("sort", 0x40c2f849dc2e7875, 0xdbaff8f2fecd6835),
+    ("hubsort", 0x486dcd65e92a0955, 0xd602ddfd73798b65),
+    ("hubcluster", 0x3b40587f847c6675, 0x677900c11b2cf835),
+    ("hubsort-o", 0x074711167721bfb5, 0x074711167721bfb5),
+    ("hubcluster-o", 0x977fa8f66059c295, 0x977fa8f66059c295),
+    ("dbg", 0x844f4ee0de88ab45, 0x0122cda3e1fb9275),
+    ("dbg:groups=2", 0x2ab831bd09a98515, 0x5308cd6f1dd62d75),
+    ("gorder", 0x2f2a9e9bd7929f25, 0x2f2a9e9bd7929f25),
+    ("gorder+dbg", 0x3666d5e2ae90d005, 0x282f1bdf09cd6005),
+    ("rv", 0x356865a27fa61565, 0x356865a27fa61565),
+    ("rcb:4", 0x8a32ad161d69db25, 0x8a32ad161d69db25),
+];
+
+#[test]
+fn permutations_match_pinned_fingerprints() {
+    let s = session();
+    let lj = DatasetId::Lj.into();
+    let got: Vec<(&str, u64, u64)> = PINNED_PERMUTATIONS
+        .iter()
+        .map(|&(name, _, _)| {
+            let spec: TechniqueSpec = name.parse().unwrap();
+            let [out, inn] = [DegreeKind::Out, DegreeKind::In]
+                .map(|kind| fingerprint(s.dataset_reorder(&lj, &spec, kind).permutation.new_ids()));
+            (name, out, inn)
+        })
+        .collect();
+    assert_eq!(got, PINNED_PERMUTATIONS);
 }

@@ -7,8 +7,6 @@
 //! reordering; the hot/cold threshold is the dataset's average degree
 //! unless stated otherwise, exactly as in the paper.
 
-use lgr_parallel::{par_fill, Pool};
-
 use crate::{Csr, VertexId};
 
 /// Which degree of a vertex a reordering technique should use.
@@ -38,24 +36,6 @@ impl DegreeKind {
             }
         }
     }
-
-    /// Pooled counterpart of [`DegreeKind::degrees`]: extracts the
-    /// selected degree of every vertex in parallel. Identical output
-    /// for every pool size (degree reads are pure).
-    pub fn degrees_with(self, graph: &Csr, pool: &Pool) -> Vec<u32> {
-        if pool.threads() == 1 {
-            return self.degrees(graph);
-        }
-        let mut d = vec![0u32; graph.num_vertices()];
-        match self {
-            DegreeKind::In => par_fill(pool, &mut d, |v| graph.in_degree(v as VertexId)),
-            DegreeKind::Out => par_fill(pool, &mut d, |v| graph.out_degree(v as VertexId)),
-            DegreeKind::Both => par_fill(pool, &mut d, |v| {
-                graph.in_degree(v as VertexId) + graph.out_degree(v as VertexId)
-            }),
-        }
-        d
-    }
 }
 
 /// Average of a degree vector (0.0 if empty). The hot/cold threshold of
@@ -66,12 +46,6 @@ pub fn average_degree(degrees: &[u32]) -> f64 {
     } else {
         degrees.iter().map(|&d| d as u64).sum::<u64>() as f64 / degrees.len() as f64
     }
-}
-
-/// Returns the hot-vertex mask: `mask[v]` is `true` iff
-/// `degrees[v] as f64 >= threshold`.
-pub fn hot_mask(degrees: &[u32], threshold: f64) -> Vec<bool> {
-    degrees.iter().map(|&d| d as f64 >= threshold).collect()
 }
 
 #[cfg(test)]
@@ -98,10 +72,8 @@ mod tests {
     }
 
     #[test]
-    fn average_and_hot_mask() {
-        let d = vec![3, 1, 0, 0];
-        assert_eq!(average_degree(&d), 1.0);
-        assert_eq!(hot_mask(&d, 1.0), vec![true, true, false, false]);
+    fn average_of_degrees() {
+        assert_eq!(average_degree(&[3, 1, 0, 0]), 1.0);
     }
 
     #[test]

@@ -1,12 +1,11 @@
 //! Structural-equality properties for the pooled construction paths:
-//! parallel CSR build, direct permutation apply, and parallel degree
-//! extraction must be `==` to their sequential counterparts for every
-//! thread count, including weighted, self-loop, and parallel-edge
+//! parallel CSR build and direct permutation apply must be `==` to
+//! their sequential counterparts for every thread count, including weighted, self-loop, and parallel-edge
 //! graphs.
 
 use proptest::prelude::*;
 
-use lgr_graph::{gen, Csr, DegreeKind, EdgeList};
+use lgr_graph::{gen, Csr, EdgeList};
 use lgr_parallel::Pool;
 
 /// Thread counts exercised per case (1 = the sequential fallback).
@@ -58,20 +57,6 @@ proptest! {
             let pool = Pool::new(threads);
             let pooled = g.apply_permutation_with(&perm, &pool);
             prop_assert_eq!(&pooled, &via_edge_list, "threads = {}", threads);
-        }
-    }
-
-    /// Pooled degree extraction equals the sequential scan for every
-    /// degree kind.
-    #[test]
-    fn parallel_degrees_match_sequential(el in arb_edge_list()) {
-        let g = Csr::from_edge_list(&el);
-        for kind in [DegreeKind::In, DegreeKind::Out, DegreeKind::Both] {
-            let seq = kind.degrees(&g);
-            for threads in THREADS {
-                let pool = Pool::new(threads);
-                prop_assert_eq!(kind.degrees_with(&g, &pool), seq.clone(), "threads = {}", threads);
-            }
         }
     }
 }

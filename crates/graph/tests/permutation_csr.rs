@@ -96,7 +96,7 @@ fn apply_permutation_relabels_every_edge_exactly() {
 }
 
 #[test]
-fn apply_permutation_moves_degrees_with_vertices() {
+fn apply_permutation_moves_vertex_degrees() {
     let g = skewed_graph();
     let p = gen::random_permutation(g.num_vertices(), 23);
     let h = g.apply_permutation(&p);

@@ -12,8 +12,7 @@
 //! * [`par_fill`] / [`par_fill_ranges`] / [`par_chunks_mut`] — safe
 //!   chunked for-each over slices;
 //! * [`stable_offsets`] — per-worker histogram + prefix-sum merge, the
-//!   core of stable parallel counting sorts (CSR construction, DBG
-//!   grouping);
+//!   core of stable parallel counting sorts (CSR construction);
 //! * [`even_ranges`] / [`edge_balanced_ranges`] — work division,
 //!   including the degree-skew-aware splitter that keeps hub-first
 //!   orderings from starving all but one worker;

@@ -29,7 +29,7 @@
 //!   cache simulator (MPKI, snoop classification, cycle model).
 //! * [`parallel`] (`lgr-parallel`) — the persistent worker pool and
 //!   data-parallel primitives behind the pooled CSR build, permutation
-//!   apply, reordering, and analytics paths.
+//!   apply and text parsing.
 //!
 //! # Quickstart
 //!

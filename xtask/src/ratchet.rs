@@ -424,7 +424,7 @@ mod tests {
     fn wildcard_prefix_entries_cover_many_groups() {
         let entries = parse("crates/core/* * * * # kernels index CSR arrays\n").unwrap();
         let groups = [
-            group("crates/core/src/classic.rs", "a", "index", 7, false),
+            group("crates/core/src/grouping.rs", "a", "index", 7, false),
             group("crates/core/src/gorder.rs", "B::b", "unwrap", 2, false),
         ];
         assert!(check(&groups, &entries, &[], &[]).is_empty());
@@ -496,7 +496,7 @@ mod tests {
             parse("crates/core/* * * * # kernels\ncrates/a/src/x.rs f index 2 # checked above\n")
                 .unwrap();
         let groups = [
-            group("crates/core/src/classic.rs", "k", "index", 9, false),
+            group("crates/core/src/grouping.rs", "k", "index", 9, false),
             group("crates/a/src/x.rs", "f", "index", 1, false),
             group("crates/b/src/y.rs", "g", "unwrap", 1, false),
         ];
