@@ -26,11 +26,20 @@ pub fn run(h: &Session) -> String {
     {
         return super::skipped("Ablation");
     }
-    // The sweep compares against `Session::simulate_pr`, which runs
-    // PR at the session defaults; the baseline deliberately uses the
-    // same bare spec so both sides of the comparison match (app knob
-    // overrides are ignored here by design).
+    // Every job runs the bare `pr` spec at the session defaults, so
+    // both sides of the comparison match (app knob overrides are
+    // ignored here by design).
     let group_counts = [1u32, 2, 4, 6, 8, 10];
+    let pr = AppSpec::new(AppId::Pr);
+    let specs: Vec<TechniqueSpec> = group_counts
+        .iter()
+        .map(|&k| TechniqueSpec::dbg_groups(k))
+        .collect();
+    h.run_all(&super::roster_jobs(
+        std::slice::from_ref(&pr),
+        &datasets,
+        &specs,
+    ));
     let mut out = String::new();
     for ds in &datasets {
         let mut t = TextTable::new(
@@ -51,16 +60,15 @@ pub fn run(h: &Session) -> String {
                 "reorder (ms)",
             ],
         );
-        let graph = h.graph(ds);
-        let base = h
-            .run(&Job::new(AppSpec::new(AppId::Pr), ds.clone()))
-            .cycles() as f64;
-        for &k in &group_counts {
-            let spec = TechniqueSpec::dbg_groups(k);
-            let timed = h.reorder_with_kind(&graph, &spec, AppId::Pr.reorder_degree());
-            let grouping = Dbg::with_hot_groups(k).spec_for(graph.average_degree());
-            let reordered = graph.apply_permutation(&timed.permutation);
-            let cycles = h.simulate_pr(&reordered) as f64;
+        let average_degree = h.graph(ds).average_degree();
+        let original = Job::new(pr.clone(), ds.clone());
+        let base = h.run(&original).cycles() as f64;
+        for (&k, spec) in group_counts.iter().zip(&specs) {
+            let timed = h.dataset_reorder(ds, spec, AppId::Pr.reorder_degree());
+            let grouping = Dbg::with_hot_groups(k).spec_for(average_degree);
+            let cycles = h
+                .run(&original.clone().with_technique(spec.clone()))
+                .cycles() as f64;
             t.row(vec![
                 spec.to_string(),
                 grouping.num_groups().to_string(),

@@ -70,7 +70,8 @@ pub fn run(h: &Session) -> String {
     let first = h.reorder_with_kind(&base_graph, &dbg, kind);
     once_reorder += h.wall_to_cycles(ds, first.elapsed);
     periodic_reorder += h.wall_to_cycles(ds, first.elapsed);
-    let mut once_perm = first.permutation.clone();
+    // The "once" permutation is never refreshed.
+    let once_perm = first.permutation.clone();
     let mut periodic_perm = first.permutation;
 
     for batch_idx in 0..num_batches {
@@ -90,8 +91,6 @@ pub fn run(h: &Session) -> String {
             once += h.simulate_pr(&snapshot.apply_permutation(&once_perm));
             periodic += h.simulate_pr(&snapshot.apply_permutation(&periodic_perm));
         }
-        // The "once" permutation is never refreshed.
-        once_perm = once_perm.clone();
     }
 
     let giga = |c: u64| format!("{:.2}", c as f64 / 1e9);

@@ -28,10 +28,11 @@
 //! therefore byte-identical whether a job batch runs sequentially or
 //! hammered from many threads (the only wall-clock field,
 //! `reorder_ms`, is measured once per key and then shared). All
-//! threads share the session's single worker [`Pool`]; its broadcasts
-//! serialize internally, so concurrent jobs interleave safely at
-//! data-parallel-section granularity. [`Session::run_all`] relies on
-//! this to drain a batch of traced jobs on several threads at once.
+//! threads share the session's single worker [`Pool`], which is only
+//! a thread count: each broadcast runs on its own scoped threads, so
+//! concurrent jobs never wait on one another's data-parallel
+//! sections. [`Session::run_all`] drains a batch of traced jobs on
+//! one broadcast, and each job's relabel broadcasts again inside it.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -658,14 +659,12 @@ impl Session {
     /// 1. Serially, every technique job's permutation is computed, so
     ///    the wall-clock `reorder_ms` measurement never overlaps a
     ///    simulation.
-    /// 2. The traced runs drain on [`Pool::threads`] scoped threads
-    ///    (the caller is one of them), each pulling the next job from
-    ///    a shared index. Duplicate jobs coalesce in the run cache.
-    ///
-    /// The jobs run on their own threads, not on the session's pool:
-    /// a relabel inside a job broadcasts on that pool, and a
-    /// broadcast from inside a pool job would nest. With one pool
-    /// thread everything runs on the caller, in job order.
+    /// 2. The traced runs drain on one broadcast of the session's
+    ///    pool (the caller is worker 0), each worker pulling the next
+    ///    job from a shared index. A relabel inside a job broadcasts
+    ///    on the same pool. Duplicate jobs coalesce in the run cache.
+    ///    With one pool thread everything runs on the caller, in job
+    ///    order.
     ///
     /// # Panics
     ///
@@ -686,16 +685,7 @@ impl Session {
                 self.run(job);
             }
         };
-        let threads = self.pool.threads().min(jobs.len());
-        std::thread::scope(|scope| {
-            let helpers: Vec<_> = (1..threads).map(|_| scope.spawn(drain)).collect();
-            drain();
-            for helper in helpers {
-                if let Err(payload) = helper.join() {
-                    std::panic::resume_unwind(payload);
-                }
-            }
-        });
+        self.pool.broadcast(|_| drain());
     }
 
     /// Untraced wall-clock run (same work as [`Session::run`]), cached.

@@ -1,16 +1,15 @@
-//! Pooled shared-memory parallelism for the graph-reorder workspace.
+//! Scoped shared-memory parallelism for the graph-reorder workspace.
 //!
 //! The build environment has no registry access, so this crate is the
 //! workspace's registry-free analogue of `rayon` (in the same spirit
-//! as the API-subset stand-ins under `shims/`): a [`Pool`] of
-//! persistent worker threads — spawned once, reused across arbitrarily
-//! many operations — plus the handful of data-parallel primitives the
+//! as the API-subset stand-ins under `shims/`): a [`Pool`] that is
+//! only a worker count, whose broadcasts run on `std::thread::scope`
+//! threads, plus the handful of data-parallel primitives the
 //! reorder→rebuild→run pipeline needs:
 //!
 //! * [`Pool::broadcast`] — run one closure on every worker, blocking
 //!   until all finish (the base primitive everything else builds on);
-//! * [`par_fill`] / [`par_fill_ranges`] / [`par_chunks_mut`] — safe
-//!   chunked for-each over slices;
+//! * [`par_fill`] — safe chunked fill of a slice;
 //! * [`stable_offsets`] — per-worker histogram + prefix-sum merge, the
 //!   core of stable parallel counting sorts (CSR construction);
 //! * [`even_ranges`] / [`edge_balanced_ranges`] — work division,
@@ -32,7 +31,7 @@
 //! [`Pool::with_default_threads`] sizes the pool from the
 //! `LGR_THREADS` environment variable, falling back to the machine's
 //! available parallelism. CI runs the test suite a second time with
-//! `LGR_THREADS=2` to exercise the pooled paths under contention.
+//! `LGR_THREADS=2` to exercise the parallel paths under contention.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -42,7 +41,7 @@ mod pool;
 mod shared;
 mod split;
 
-pub use ops::{par_chunks_mut, par_fill, par_fill_ranges, stable_offsets, StableOffsets};
+pub use ops::{par_fill, stable_offsets, StableOffsets};
 pub use pool::Pool;
 pub use shared::SyncSlice;
 pub use split::{edge_balanced_ranges, even_ranges};

@@ -13,7 +13,7 @@ use crate::{even_ranges, Pool, SyncSlice};
 ///
 /// Panics if the ranges are not sorted, non-overlapping, and within
 /// `data` bounds.
-pub fn par_chunks_mut<T, F>(pool: &Pool, data: &mut [T], ranges: &[Range<usize>], f: F)
+pub(crate) fn par_chunks_mut<T, F>(pool: &Pool, data: &mut [T], ranges: &[Range<usize>], f: F)
 where
     T: Send,
     F: Fn(usize, Range<usize>, &mut [T]) + Sync,
@@ -61,23 +61,7 @@ where
     F: Fn(usize) -> T + Sync,
 {
     let ranges = even_ranges(out.len(), pool.threads());
-    par_fill_ranges(pool, out, &ranges, f);
-}
-
-/// Fills `out[i] = f(i)` in parallel, dividing work by the given
-/// ranges (e.g. [`crate::edge_balanced_ranges`] for degree-skewed
-/// per-vertex work).
-///
-/// # Panics
-///
-/// Panics if the ranges are not sorted, non-overlapping, and within
-/// `out` bounds.
-pub fn par_fill_ranges<T, F>(pool: &Pool, out: &mut [T], ranges: &[Range<usize>], f: F)
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    par_chunks_mut(pool, out, ranges, |_, range, chunk| {
+    par_chunks_mut(pool, out, &ranges, |_, range, chunk| {
         for (slot, i) in chunk.iter_mut().zip(range) {
             *slot = f(i);
         }

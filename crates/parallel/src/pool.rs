@@ -1,80 +1,23 @@
-//! The persistent worker pool.
-//!
-//! All synchronization goes through `lgr-sync` wrappers: the pool's
-//! locks carry ranks in the workspace's global lock order (`pool.gate`
-//! = 300, `pool.state` = 310, both above the engine's cache locks), and
-//! under the `model` feature the whole broadcast handshake runs inside
-//! the deterministic interleaving explorer (see `tests/model.rs`).
+//! The worker pool: a thread count plus scoped-thread broadcasts.
 
 use std::num::NonZeroUsize;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::panic::resume_unwind;
 
-use lgr_sync::thread::JoinHandle;
-use lgr_sync::{rank, Condvar, Mutex, Rank};
-
-/// Broadcast serialization comes before epoch bookkeeping.
-const GATE_RANK: Rank = rank(300, "pool.gate");
-/// Epoch/job handshake state; acquired while holding `pool.gate`.
-const STATE_RANK: Rank = rank(310, "pool.state");
-
-/// A type-erased pointer to the closure of the broadcast in flight.
+/// A worker count for scoped data parallelism.
 ///
-/// `data` points at a caller-stack `F: Fn(usize) + Sync`; `call`
-/// downcasts and invokes it.
-#[derive(Clone, Copy)]
-struct Job {
-    data: *const (),
-    // SAFETY: contract of `call` — it must only be invoked with the
-    // `data` pointer above, which is the `&F` it was monomorphized
-    // for (upheld by construction in `Pool::broadcast`).
-    call: unsafe fn(*const (), usize),
-}
-
-// SAFETY: the closure behind `data` is `Sync` (enforced by the bounds
-// on `Pool::broadcast`) and outlives every worker's use of it, because
-// `broadcast` blocks until all workers have signalled completion
-// before the stack frame owning the closure can unwind or return.
-unsafe impl Send for Job {}
-
-struct State {
-    /// Bumped once per broadcast; workers run one job per new epoch.
-    epoch: u64,
-    /// The job of the current epoch, cleared once the epoch completes.
-    job: Option<Job>,
-    /// Spawned workers that have not yet finished the current epoch.
-    remaining: usize,
-    /// The first panic payload a spawned worker produced this epoch —
-    /// preserved so `broadcast` can resume it with the original
-    /// message instead of a generic "a worker panicked".
-    panic_payload: Option<Box<dyn std::any::Any + Send>>,
-    /// Set by `Drop`; workers exit at the next wakeup.
-    shutdown: bool,
-}
-
-struct Shared {
-    state: Mutex<State>,
-    /// Signalled when a new epoch starts (or at shutdown).
-    work: Condvar,
-    /// Signalled when the last worker finishes an epoch.
-    done: Condvar,
-}
-
-/// A pool of persistent worker threads for scoped data parallelism.
-///
-/// Workers are spawned once at construction and reused across every
-/// subsequent operation, so iterative algorithms (PageRank rounds,
-/// SSSP relaxation waves) pay the thread-spawn cost zero times instead
-/// of once per iteration. The calling thread participates as worker 0,
-/// so `Pool::new(t)` spawns only `t - 1` OS threads and `t == 1` is a
-/// true sequential fallback with no threads and no synchronization.
+/// Each [`Pool::broadcast`] runs worker 0 on the calling thread and
+/// the others on [`std::thread::scope`] threads joined before it
+/// returns, so `Pool::new(t)` spawns `t - 1` OS threads per broadcast,
+/// holds no threads or locks between calls, and `t == 1` is a true
+/// sequential fallback. The pool's users are one-shot operations (CSR
+/// build, relabel, text parsing) that run for milliseconds, next to
+/// which the spawn cost is noise.
 ///
 /// A pool is `Send + Sync`: one pool can back many concurrent jobs
 /// (the shared-`Session` serving path hands a single pool to every
-/// connection handler). Broadcasts from different threads serialize
-/// through an internal gate, so concurrent jobs interleave safely at
-/// data-parallel-section granularity rather than oversubscribing the
-/// machine with per-job worker sets.
+/// connection handler). Broadcasts from different threads run
+/// independently, and a job may itself broadcast on the pool that
+/// runs it.
 ///
 /// # Example
 ///
@@ -90,21 +33,9 @@ struct Shared {
 /// });
 /// assert_eq!(hits.into_inner(), 4);
 /// ```
+#[derive(Debug)]
 pub struct Pool {
-    shared: Arc<Shared>,
-    workers: Vec<JoinHandle<()>>,
-    /// Serializes broadcasts so concurrent callers cannot interleave
-    /// epoch bookkeeping.
-    gate: Mutex<()>,
     threads: usize,
-}
-
-impl std::fmt::Debug for Pool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Pool")
-            .field("threads", &self.threads)
-            .finish()
-    }
 }
 
 // The serving tier shares one pool across every connection thread; a
@@ -116,38 +47,10 @@ const _: () = {
 
 impl Pool {
     /// A pool with `threads` total workers (the calling thread counts
-    /// as one; `threads - 1` OS threads are spawned). `threads` is
-    /// clamped to at least 1.
+    /// as one). `threads` is clamped to at least 1.
     pub fn new(threads: usize) -> Self {
-        let threads = threads.max(1);
-        let shared = Arc::new(Shared {
-            state: Mutex::ranked(
-                STATE_RANK,
-                State {
-                    epoch: 0,
-                    job: None,
-                    remaining: 0,
-                    panic_payload: None,
-                    shutdown: false,
-                },
-            ),
-            work: Condvar::with_label("pool.work"),
-            done: Condvar::with_label("pool.done"),
-        });
-        let workers = (1..threads)
-            .map(|index| {
-                let shared = Arc::clone(&shared);
-                lgr_sync::thread::Builder::new()
-                    .name(format!("lgr-pool-{index}"))
-                    .spawn(move || worker_loop(&shared, index))
-                    .expect("spawning pool worker thread")
-            })
-            .collect();
         Pool {
-            shared,
-            workers,
-            gate: Mutex::ranked(GATE_RANK, ()),
-            threads,
+            threads: threads.max(1),
         }
     }
 
@@ -177,143 +80,54 @@ impl Pool {
         self.threads
     }
 
-    /// Runs `f(worker_index)` once on every worker (indices
-    /// `0..threads`), blocking until all invocations complete. The
-    /// calling thread runs `f(0)` itself.
+    /// Runs `f(worker_index)` once for every index in `0..threads`,
+    /// blocking until all invocations complete. The calling thread
+    /// runs `f(0)` itself; the other indices run on scoped threads,
+    /// so `f` may borrow from the caller's stack. If the OS refuses a
+    /// thread, the caller runs that index after `f(0)`: every
+    /// primitive's output depends only on the worker index, so the
+    /// result is the same.
     ///
-    /// `f` may borrow from the caller's stack: the borrow cannot
-    /// dangle because `broadcast` does not return (or unwind) until
-    /// every worker has finished with it.
-    ///
-    /// Concurrent `broadcast` calls from different threads are
-    /// serialized. Do **not** call `broadcast` from inside a job on
-    /// the same pool — it deadlocks (workers cannot make progress on a
-    /// nested epoch).
+    /// `f` may call `broadcast` on the same pool, and concurrent
+    /// calls from different threads are independent.
     ///
     /// # Panics
     ///
     /// If `f` panics on the calling thread the panic resumes here once
-    /// all workers finish; if `f` panics on a spawned worker, the
-    /// first worker's original payload is re-raised here after the
-    /// epoch completes (as a scoped spawn's `join` would).
-    ///
-    /// # Safety argument for the internal `unsafe`
-    ///
-    /// The job handed to workers is a type-erased `*const F` into this
-    /// frame; it cannot outlive `f` because `broadcast` blocks until
-    /// every worker has signalled completion of this epoch, and the
-    /// `gate` lock serializes epochs so no stale pointer is ever
-    /// re-dispatched.
+    /// every helper has finished; if `f` panics on a helper, the first
+    /// such helper's original payload is re-raised here after all of
+    /// them are joined.
     pub fn broadcast<F: Fn(usize) + Sync>(&self, f: F) {
-        if self.workers.is_empty() {
+        let f = &f;
+        std::thread::scope(|scope| {
+            let mut helpers = Vec::new();
+            let mut refused = Vec::new();
+            for worker in 1..self.threads {
+                match std::thread::Builder::new()
+                    .name(format!("lgr-pool-{worker}"))
+                    .spawn_scoped(scope, move || f(worker))
+                {
+                    Ok(helper) => helpers.push(helper),
+                    Err(_) => refused.push(worker),
+                }
+            }
             f(0);
-            return;
-        }
-        /// Downcasts `data` back to the concrete closure and calls it.
-        ///
-        /// # Safety
-        /// `data` must be the `&F` installed by the enclosing
-        /// `broadcast`, still alive for the duration of the call.
-        unsafe fn call<F: Fn(usize)>(data: *const (), index: usize) {
-            // SAFETY (of the deref): `data` is the `&F` installed by
-            // the enclosing `broadcast`, which is still alive because
-            // `broadcast` blocks until every worker is done with it.
-            (*(data as *const F))(index)
-        }
-        let _serialize = self.gate.lock();
-        let job = Job {
-            data: (&f as *const F).cast::<()>(),
-            call: call::<F>,
-        };
-        {
-            let mut s = self.shared.state.lock();
-            s.job = Some(job);
-            s.epoch = s.epoch.wrapping_add(1);
-            s.remaining = self.workers.len();
-            s.panic_payload = None;
-            self.shared.work.notify_all();
-        }
-        // The calling thread is worker 0. Catch a panic so we still
-        // wait for the spawned workers (their job reference must not
-        // outlive this frame).
-        let caller = catch_unwind(AssertUnwindSafe(|| f(0)));
-        let worker_panic = {
-            let mut s = self.shared.state.lock();
-            while s.remaining > 0 {
-                s = self.shared.done.wait(s);
-            }
-            s.job = None;
-            s.panic_payload.take()
-        };
-        if let Err(payload) = caller {
-            resume_unwind(payload);
-        }
-        if let Some(payload) = worker_panic {
-            // Re-raise the worker's original panic so the message and
-            // location reach the caller, as a scoped spawn would.
-            resume_unwind(payload);
-        }
-    }
-}
-
-impl Drop for Pool {
-    fn drop(&mut self) {
-        {
-            let mut s = self.shared.state.lock();
-            s.shutdown = true;
-            self.shared.work.notify_all();
-        }
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// The spawned workers' run loop: wait for an epoch bump, run the
-/// installed job, signal completion.
-///
-/// # Safety argument for the internal `unsafe`
-///
-/// The type-erased job pointer is dereferenced only between observing
-/// the epoch bump and decrementing `remaining` — the window in which
-/// the installing `broadcast` is still blocked, so the closure the
-/// pointer aliases is guaranteed alive (it cannot outlive its frame
-/// unobserved).
-fn worker_loop(shared: &Shared, index: usize) {
-    let mut seen_epoch = 0u64;
-    loop {
-        let job = {
-            let mut s = shared.state.lock();
-            loop {
-                if s.shutdown {
-                    return;
+            refused.into_iter().for_each(f);
+            // The scope still joins the helpers after this one before
+            // it re-raises the payload.
+            for helper in helpers {
+                if let Err(payload) = helper.join() {
+                    resume_unwind(payload);
                 }
-                if s.epoch != seen_epoch {
-                    seen_epoch = s.epoch;
-                    break s.job.expect("epoch bumped without a job");
-                }
-                s = shared.work.wait(s);
             }
-        };
-        // SAFETY: `job` was installed by a `broadcast` that is still
-        // blocked waiting for this worker's completion signal below,
-        // so the closure it points to is alive.
-        let result = catch_unwind(AssertUnwindSafe(|| unsafe { (job.call)(job.data, index) }));
-        let mut s = shared.state.lock();
-        if let Err(payload) = result {
-            // Keep the first payload; later ones are usually cascades.
-            s.panic_payload.get_or_insert(payload);
-        }
-        s.remaining -= 1;
-        if s.remaining == 0 {
-            shared.done.notify_all();
-        }
+        });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
@@ -415,7 +229,7 @@ mod tests {
     fn concurrent_broadcasts_from_many_threads_serialize_correctly() {
         // The shared-session serving path: several job threads drive
         // one pool at once. Every broadcast must still run exactly
-        // once per worker, with no interleaved epoch bookkeeping.
+        // once per worker.
         for pool_threads in [1usize, 3] {
             let pool = Pool::new(pool_threads);
             let total = AtomicUsize::new(0);
@@ -439,6 +253,30 @@ mod tests {
                 "{pool_threads} pool threads"
             );
         }
+    }
+
+    #[test]
+    fn nested_broadcasts_complete() {
+        // A job may broadcast on the pool that runs it
+        // (`Session::run_all` drains its jobs that way). A watchdog
+        // turns a deadlock into a failure instead of a hang.
+        let (done, finished) = std::sync::mpsc::channel();
+        let body = std::thread::spawn(move || {
+            let pool = Pool::new(2);
+            let counts: Vec<AtomicUsize> = (0..4).map(|_| AtomicUsize::new(0)).collect();
+            pool.broadcast(|outer| {
+                pool.broadcast(|inner| {
+                    counts[outer * 2 + inner].fetch_add(1, Ordering::Relaxed);
+                });
+            });
+            let counts: Vec<usize> = counts.into_iter().map(AtomicUsize::into_inner).collect();
+            let _ = done.send(counts);
+        });
+        let counts = finished
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("nested broadcasts must complete");
+        body.join().expect("the body sent its counts");
+        assert_eq!(counts, [1; 4]);
     }
 
     #[test]

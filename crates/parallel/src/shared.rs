@@ -10,8 +10,8 @@ use std::ops::Range;
 ///
 /// This is the one unsafe primitive of the crate: all accessors are
 /// `unsafe fn`s whose contract is that no two concurrent accesses
-/// overlap. Prefer the safe wrappers ([`crate::par_fill`],
-/// [`crate::par_chunks_mut`]) whenever the write pattern is chunked.
+/// overlap. Prefer the safe [`crate::par_fill`] whenever the write
+/// pattern is chunked.
 ///
 /// # Example
 ///

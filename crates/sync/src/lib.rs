@@ -2,8 +2,7 @@
 //! primitives that double as a deterministic model checker.
 //!
 //! The workspace's concurrency stack (the coalescing cache in
-//! `lgr-engine`, the broadcast pool in `lgr-parallel`, batch fan-out in
-//! `lgr-serve`) builds on the [`Mutex`]/[`RwLock`]/[`Condvar`] wrappers
+//! `lgr-engine`, batch fan-out in `lgr-serve`) builds on the [`Mutex`]/[`RwLock`]/[`Condvar`] wrappers
 //! here instead of `std::sync` (a lint, `cargo xtask lint`, enforces
 //! this). The wrappers buy three things over std, at zero release-mode
 //! cost:
@@ -14,7 +13,7 @@
 //!    acquisition is checked against the thread's held set, and a
 //!    rank inversion panics naming both locks and both acquisition
 //!    sites. A clean test run therefore proves the documented global
-//!    lock order (shard → slot → pool gate → pool state → serve), not
+//!    lock order (shard → slot → serve), not
 //!    merely that one interleaving got lucky.
 //!
 //! 2. **Poison recovery**: `lock()`/`read()`/`write()` never return a
@@ -25,7 +24,7 @@
 //!    connection because another connection's request panicked).
 //!    Every type whose invariants could be mid-flight during a panic
 //!    must therefore be panic-safe by construction; the model tests
-//!    check exactly that for the cache and pool protocols.
+//!    check exactly that for the cache protocol.
 //!
 //! 3. **Deterministic model checking** (the `model` module, behind the
 //!    `model` feature): inside `model::check` every acquire, release, wait,
@@ -370,7 +369,7 @@ impl<T> Drop for RwLockWriteGuard<'_, T> {
 /// notifies are schedule points and `notify_one` deterministically
 /// wakes the longest waiter (FIFO); a wait that no interleaving ever
 /// notifies shows up as a model-check deadlock — that is exactly the
-/// missed-wakeup oracle the engine and pool model tests rely on.
+/// missed-wakeup oracle the engine model tests rely on.
 #[derive(Debug)]
 pub struct Condvar {
     inner: StdCondvar,

@@ -25,8 +25,6 @@ use std::cell::RefCell;
 /// |-------|------|
 /// | 100   | `engine.cache.shard` (a [`ShardedCache`] shard map) |
 /// | 200   | `engine.cache.slot` (a per-key in-flight slot) |
-/// | 300   | `pool.gate` (broadcast serialization) |
-/// | 310   | `pool.state` (epoch/job handshake) |
 /// | 400+  | `serve.*` (batch-client result collection) |
 ///
 /// [`ShardedCache`]: https://docs.rs/lgr-engine

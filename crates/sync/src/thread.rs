@@ -1,7 +1,7 @@
 //! Model-aware thread spawning.
 //!
-//! [`spawn`]/[`Builder`] mirror `std::thread`: outside a model run
-//! they delegate to it directly. Inside `model::check`
+//! [`spawn`] mirrors `std::thread::spawn`: outside a model run it
+//! delegates to it directly. Inside `model::check`
 //! the new thread becomes a *managed* thread of the active execution —
 //! it runs only when the deterministic scheduler hands it the token,
 //! and [`JoinHandle::join`] is a schedule point. A managed thread
@@ -57,57 +57,26 @@ impl<T> std::fmt::Debug for JoinHandle<T> {
     }
 }
 
-/// Model-aware drop-in for `std::thread::Builder` (name-only surface).
-#[derive(Debug, Default)]
-pub struct Builder {
-    name: Option<String>,
-}
-
-impl Builder {
-    pub fn new() -> Self {
-        Builder::default()
-    }
-
-    /// Names the thread (ignored in model mode, where managed threads
-    /// are named by their scheduler id).
-    pub fn name(mut self, name: String) -> Self {
-        self.name = Some(name);
-        self
-    }
-
-    pub fn spawn<F, T>(self, f: F) -> std::io::Result<JoinHandle<T>>
-    where
-        F: FnOnce() -> T + Send + 'static,
-        T: Send + 'static,
-    {
-        #[cfg(feature = "model")]
-        if model::active() {
-            let result: Arc<StdMutex<Option<T>>> = Arc::new(StdMutex::new(None));
-            let slot = Arc::clone(&result);
-            let tid = model::op_spawn(Box::new(move || {
-                let value = f();
-                *slot.lock().unwrap_or_else(PoisonError::into_inner) = Some(value);
-            }))
-            .expect("model spawn outside an execution");
-            return Ok(JoinHandle {
-                inner: Inner::Model { tid, result },
-            });
-        }
-        let mut b = std::thread::Builder::new();
-        if let Some(name) = self.name {
-            b = b.name(name);
-        }
-        Ok(JoinHandle {
-            inner: Inner::Std(b.spawn(f)?),
-        })
-    }
-}
-
 /// Model-aware drop-in for `std::thread::spawn`.
 pub fn spawn<F, T>(f: F) -> JoinHandle<T>
 where
     F: FnOnce() -> T + Send + 'static,
     T: Send + 'static,
 {
-    Builder::new().spawn(f).expect("failed to spawn thread")
+    #[cfg(feature = "model")]
+    if model::active() {
+        let result: Arc<StdMutex<Option<T>>> = Arc::new(StdMutex::new(None));
+        let slot = Arc::clone(&result);
+        let tid = model::op_spawn(Box::new(move || {
+            let value = f();
+            *slot.lock().unwrap_or_else(PoisonError::into_inner) = Some(value);
+        }))
+        .expect("model spawn outside an execution");
+        return JoinHandle {
+            inner: Inner::Model { tid, result },
+        };
+    }
+    JoinHandle {
+        inner: Inner::Std(std::thread::spawn(f)),
+    }
 }

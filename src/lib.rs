@@ -27,9 +27,9 @@
 //!   PR / PRD / BC / SSSP / Radii applications.
 //! * [`cachesim`] (`lgr-cachesim`) — the trace-driven multi-core
 //!   cache simulator (MPKI, snoop classification, cycle model).
-//! * [`parallel`] (`lgr-parallel`) — the persistent worker pool and
-//!   data-parallel primitives behind the pooled CSR build, permutation
-//!   apply and text parsing.
+//! * [`parallel`] (`lgr-parallel`) — the scoped-thread worker pool
+//!   and data-parallel primitives behind the parallel CSR build,
+//!   permutation apply and text parsing.
 //!
 //! # Quickstart
 //!

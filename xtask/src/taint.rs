@@ -33,9 +33,12 @@
 //!   data are exempt: their work is proportional to bytes the
 //!   attacker already paid for, not to a number they name for free.
 //!
-//! Pool/thread counts need no dedicated rule: `Pool::new(n)` is a
-//! workspace call, so a tainted `n` flows interprocedurally into the
-//! `Vec::with_capacity`/spawn loop inside and is flagged there.
+//! Pool/thread counts have no dedicated rule: `Pool::new(n)` only
+//! stores `n`, and the one loop over it (the spawn loop in
+//! `Pool::broadcast`) sits inside a `thread::scope` closure, whose
+//! statements this pass does not scan for loops. Thread counts
+//! therefore stay operator-supplied (`LGR_THREADS`, CLI flags) and
+//! never come from a request.
 //!
 //! ## Sanitizers
 //!
