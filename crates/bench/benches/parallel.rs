@@ -1,12 +1,13 @@
-//! Criterion micro-benchmarks: pooled vs sequential graph
-//! construction — CSR build from an edge list and permutation apply —
-//! on the `sd`-scale generated dataset.
+//! Criterion micro-benchmarks: CSR build from an edge list and
+//! permutation apply on the `sd`-scale generated dataset, across pool
+//! sizes. There is one implementation of each; a 1-thread pool runs it
+//! entirely on the calling thread, so that arm is the sequential
+//! baseline.
 //!
 //! These are the two biggest wall-clock sinks of the
-//! reorder→rebuild→run pipeline; the multi-threaded paths should beat
-//! the sequential ones on any multicore host (on a single-core host
-//! the pool degenerates to sequential-plus-overhead, so expect rough
-//! parity there). `apply/via_edge_list` additionally shows what the
+//! reorder→rebuild→run pipeline; more threads should win on any
+//! multicore host (on a single-core host expect rough parity).
+//! `apply_permutation/via_edge_list` additionally shows what the
 //! pre-optimization seed implementation (EdgeList round-trip + full
 //! counting-sort rebuild) cost: the direct CSR-to-CSR scatter beats it
 //! even single-threaded.
@@ -18,7 +19,7 @@ use lgr_graph::datasets::{build, DatasetId, DatasetScale};
 use lgr_graph::{Csr, DegreeKind};
 use lgr_parallel::Pool;
 
-const THREADS: [usize; 3] = [2, 4, 8];
+const THREADS: [usize; 4] = [1, 2, 4, 8];
 
 fn bench_parallel(c: &mut Criterion) {
     let mut el = build(DatasetId::Sd, DatasetScale::with_sd_vertices(1 << 15));
@@ -28,10 +29,9 @@ fn bench_parallel(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("csr_build");
     group.sample_size(10);
-    group.bench_function("sequential", |b| b.iter(|| Csr::from_edge_list(&el)));
     for threads in THREADS {
         let pool = Pool::new(threads);
-        group.bench_with_input(BenchmarkId::new("pooled", threads), &pool, |b, pool| {
+        group.bench_with_input(BenchmarkId::new("threads", threads), &pool, |b, pool| {
             b.iter(|| Csr::from_edge_list_with(&el, pool));
         });
     }
@@ -44,18 +44,11 @@ fn bench_parallel(c: &mut Criterion) {
         // rebuild with the counting-sort path.
         b.iter(|| Csr::from_edge_list(&graph.to_edge_list().relabel(&perm)));
     });
-    group.bench_function("direct_sequential", |b| {
-        b.iter(|| graph.apply_permutation(&perm));
-    });
     for threads in THREADS {
         let pool = Pool::new(threads);
-        group.bench_with_input(
-            BenchmarkId::new("direct_pooled", threads),
-            &pool,
-            |b, pool| {
-                b.iter(|| graph.apply_permutation_with(&perm, pool));
-            },
-        );
+        group.bench_with_input(BenchmarkId::new("direct", threads), &pool, |b, pool| {
+            b.iter(|| graph.apply_permutation_with(&perm, pool));
+        });
     }
     group.finish();
 }

@@ -12,8 +12,8 @@ use crate::{EdgeList, Permutation, VertexId, Weight};
 /// Canonicalizes one vertex's neighbor list: ascending neighbor IDs,
 /// weights moving with their edges. Equal `(neighbor, weight)` pairs
 /// make the result independent of the input order, which is what lets
-/// the parallel construction paths produce CSRs structurally equal
-/// (`==`) to the sequential ones.
+/// every pool size produce CSRs structurally equal (`==`) to one
+/// another.
 ///
 /// `scratch` holds the transient `(neighbor, weight)` pairs of the
 /// weighted path; callers keep one buffer per worker and reuse it
@@ -88,65 +88,15 @@ struct Adjacency {
 }
 
 impl Adjacency {
-    /// Builds the adjacency from `(owner, neighbor, weight)` triples via
-    /// counting sort — O(V + E), the same prefix-sum construction a graph
-    /// framework would use.
-    fn build(
-        num_vertices: usize,
-        edges: &[(VertexId, VertexId)],
-        weights: Option<&[Weight]>,
-        owner_is_src: bool,
-    ) -> Self {
-        let mut counts = vec![0usize; num_vertices + 1];
-        for &(u, v) in edges {
-            let owner = if owner_is_src { u } else { v };
-            counts[owner as usize + 1] += 1;
-        }
-        for i in 0..num_vertices {
-            counts[i + 1] += counts[i];
-        }
-        let index = counts.clone();
-        let mut cursor = counts;
-        let mut neighbors = vec![0 as VertexId; edges.len()];
-        let mut out_weights = weights.map(|_| vec![0 as Weight; edges.len()]);
-        for (i, &(u, v)) in edges.iter().enumerate() {
-            let (owner, other) = if owner_is_src { (u, v) } else { (v, u) };
-            let slot = cursor[owner as usize];
-            cursor[owner as usize] += 1;
-            neighbors[slot] = other;
-            if let (Some(ws), Some(out)) = (weights, out_weights.as_mut()) {
-                out[slot] = ws[i];
-            }
-        }
-        // Canonicalize: sort each vertex's neighbor list (weights move
-        // with their edges). This makes CSR equality structural — two
-        // edge lists describing the same multigraph build identical
-        // CSRs — and gives the ascending-ID edge order real datasets
-        // ship with.
-        let mut scratch = Vec::new();
-        for v in 0..num_vertices {
-            let range = index[v]..index[v + 1];
-            sort_adjacent(
-                &mut neighbors[range.clone()],
-                out_weights.as_mut().map(|ws| &mut ws[range.clone()]),
-                &mut scratch,
-            );
-        }
-        Adjacency {
-            index,
-            neighbors,
-            weights: out_weights,
-        }
-    }
-
-    /// Pooled counterpart of [`Adjacency::build`]: parallel per-worker
-    /// counting, a stable prefix-sum merge, a parallel scatter, and
-    /// edge-balanced parallel per-vertex neighbor sorting. Produces a
-    /// structure identical (`==`) to the sequential build.
+    /// Builds the adjacency from `(owner, neighbor, weight)` triples by
+    /// stable counting sort on the pool — O(V + E), the same prefix-sum
+    /// construction a graph framework would use: per-worker counting,
+    /// a stable prefix-sum merge, a parallel scatter, and edge-balanced
+    /// parallel per-vertex neighbor sorting.
     ///
     /// `ranges` partitions the edge array, one contiguous range per
-    /// pool worker.
-    fn build_with(
+    /// counting worker.
+    fn build(
         num_vertices: usize,
         edges: &[(VertexId, VertexId)],
         weights: Option<&[Weight]>,
@@ -194,8 +144,12 @@ impl Adjacency {
             });
         }
         let index = offs.into_bin_starts();
-        // Canonicalize in parallel, dividing vertices by edge mass so
-        // hub-heavy prefixes don't serialize on one worker.
+        // Canonicalize: sort each vertex's neighbor list (weights move
+        // with their edges). This makes CSR equality structural — two
+        // edge lists describing the same multigraph build identical
+        // CSRs — and gives the ascending-ID edge order real datasets
+        // ship with. Vertices are divided by edge mass so hub-heavy
+        // prefixes don't serialize on one worker.
         let vranges = edge_balanced_ranges(&index, pool.threads());
         {
             let nb = SyncSlice::new(&mut neighbors);
@@ -224,76 +178,13 @@ impl Adjacency {
     /// Relabels this adjacency under `perm` directly, CSR-to-CSR: new
     /// vertex `nv`'s list is original vertex `inv[nv]`'s list with
     /// every neighbor relabeled, then canonically sorted. No
-    /// intermediate edge list is materialized.
-    fn permute(&self, perm: &Permutation, inv: &[VertexId]) -> Self {
+    /// intermediate edge list is materialized. Relabeling and sorting
+    /// are divided across the pool by edge mass.
+    fn permute(&self, perm: &Permutation, inv: &[VertexId], pool: &Pool) -> Self {
         let n = inv.len();
         let mut index = vec![0usize; n + 1];
         for nv in 0..n {
             index[nv + 1] = index[nv] + self.degree(inv[nv]) as usize;
-        }
-        let mut neighbors = vec![0 as VertexId; self.neighbors.len()];
-        let mut weights = self
-            .weights
-            .as_ref()
-            .map(|_| vec![0 as Weight; self.neighbors.len()]);
-        let mut scratch = Vec::new();
-        for nv in 0..n {
-            let src = self.range(inv[nv]);
-            let dst = index[nv]..index[nv + 1];
-            for (d, s) in dst.clone().zip(src.clone()) {
-                neighbors[d] = perm.new_id(self.neighbors[s]);
-            }
-            if let (Some(src_w), Some(dst_w)) = (self.weights.as_ref(), weights.as_mut()) {
-                dst_w[dst.clone()].copy_from_slice(&src_w[src]);
-            }
-            sort_adjacent(
-                &mut neighbors[dst.clone()],
-                weights.as_mut().map(|ws| &mut ws[dst.clone()]),
-                &mut scratch,
-            );
-        }
-        Adjacency {
-            index,
-            neighbors,
-            weights,
-        }
-    }
-
-    /// Pooled counterpart of [`Adjacency::permute`]. The new index is
-    /// built with a two-level parallel prefix sum; relabeling and
-    /// canonical sorting are divided by edge mass.
-    fn permute_with(&self, perm: &Permutation, inv: &[VertexId], pool: &Pool) -> Self {
-        let n = inv.len();
-        let vranges = even_ranges(n, pool.threads());
-        // Level 1: per-worker degree sums; level 2: sequential prefix
-        // over worker totals; level 3: parallel index fill.
-        let mut chunk_sums = vec![0usize; vranges.len()];
-        lgr_parallel::par_fill(pool, &mut chunk_sums, |j| {
-            vranges[j]
-                .clone()
-                .map(|nv| self.degree(inv[nv]) as usize)
-                .sum()
-        });
-        let mut bases = vec![0usize; vranges.len()];
-        let mut acc = 0usize;
-        for (base, &s) in bases.iter_mut().zip(&chunk_sums) {
-            *base = acc;
-            acc += s;
-        }
-        let mut index = vec![0usize; n + 1];
-        {
-            let idx = SyncSlice::new(&mut index);
-            let bases = &bases;
-            let vranges = &vranges;
-            pool.broadcast(|w| {
-                let mut acc = bases[w];
-                for nv in vranges[w].clone() {
-                    acc += self.degree(inv[nv]) as usize;
-                    // SAFETY: worker w writes only slots nv+1 for nv in
-                    // its own vertex range (slot 0 stays 0).
-                    unsafe { idx.write(nv + 1, acc) };
-                }
-            });
         }
         let mut neighbors = vec![0 as VertexId; self.neighbors.len()];
         let mut weights = self
@@ -379,17 +270,10 @@ pub struct Csr {
 }
 
 impl Csr {
-    /// Builds a CSR graph from an edge list. O(V + E).
+    /// Builds a CSR graph from an edge list on the calling thread:
+    /// [`Csr::from_edge_list_with`] on a one-worker pool. O(V + E).
     pub fn from_edge_list(el: &EdgeList) -> Self {
-        let n = el.num_vertices();
-        let edges = el.edges();
-        let weights = el.weights();
-        Csr {
-            num_vertices: n,
-            num_edges: edges.len(),
-            out: Adjacency::build(n, edges, weights, true),
-            inn: Adjacency::build(n, edges, weights, false),
-        }
+        Self::from_edge_list_with(el, &Pool::new(1))
     }
 
     /// Builds a CSR graph from an edge list using the worker pool:
@@ -397,9 +281,8 @@ impl Csr {
     /// sort (per-worker histograms merged by prefix sum, parallel
     /// scatter, edge-balanced parallel neighbor sorting).
     ///
-    /// The result is structurally identical (`==`) to
-    /// [`Csr::from_edge_list`] for every pool size; a single-worker
-    /// pool falls back to the sequential path.
+    /// The result is structurally identical (`==`) for every pool
+    /// size; a one-worker pool runs every pass on the calling thread.
     ///
     /// # Example
     ///
@@ -414,9 +297,6 @@ impl Csr {
     /// assert_eq!(Csr::from_edge_list_with(&el, &pool), Csr::from_edge_list(&el));
     /// ```
     pub fn from_edge_list_with(el: &EdgeList, pool: &Pool) -> Self {
-        if pool.threads() == 1 {
-            return Self::from_edge_list(el);
-        }
         let n = el.num_vertices();
         let edges = el.edges();
         let weights = el.weights();
@@ -430,8 +310,8 @@ impl Csr {
         Csr {
             num_vertices: n,
             num_edges: edges.len(),
-            out: Adjacency::build_with(n, edges, weights, true, pool, &ranges),
-            inn: Adjacency::build_with(n, edges, weights, false, pool, &ranges),
+            out: Adjacency::build(n, edges, weights, true, pool, &ranges),
+            inn: Adjacency::build(n, edges, weights, false, pool, &ranges),
         }
     }
 
@@ -514,23 +394,6 @@ impl Csr {
         self.inn.index[v as usize]
     }
 
-    /// The cumulative out-edge offset array (length `V + 1`):
-    /// `out_offsets()[v + 1] - out_offsets()[v]` is `v`'s out-degree.
-    ///
-    /// Exposed for edge-balanced work division
-    /// ([`lgr_parallel::edge_balanced_ranges`]).
-    #[inline]
-    pub fn out_offsets(&self) -> &[usize] {
-        &self.out.index
-    }
-
-    /// The cumulative in-edge offset array (length `V + 1`), the
-    /// in-direction counterpart of [`Csr::out_offsets`].
-    #[inline]
-    pub fn in_offsets(&self) -> &[usize] {
-        &self.inn.index
-    }
-
     /// All out-degrees as a vector.
     pub fn out_degrees(&self) -> Vec<u32> {
         (0..self.num_vertices as VertexId)
@@ -565,52 +428,42 @@ impl Csr {
         el
     }
 
-    /// Relabels every vertex according to `perm` and rebuilds the CSR.
+    /// Relabels every vertex according to `perm` and rebuilds the CSR
+    /// on the calling thread: [`Csr::apply_permutation_with`] on a
+    /// one-worker pool.
     ///
     /// This is the "apply the reordering" step: after it, vertex `v`'s
     /// data lives at slot `perm.new_id(v)` of every array. The graph
     /// itself (as a set of weighted edges) is unchanged.
     ///
-    /// The relabeling scatters CSR-to-CSR directly — no intermediate
-    /// [`EdgeList`] is materialized and no counting sort is repeated —
-    /// but the result is structurally identical (`==`) to rebuilding
-    /// from the relabeled edge list.
-    ///
     /// # Panics
     ///
     /// Panics if the permutation length differs from the vertex count.
     pub fn apply_permutation(&self, perm: &Permutation) -> Csr {
-        assert_eq!(perm.len(), self.num_vertices, "permutation length mismatch");
-        let inv = perm.inverse();
-        Csr {
-            num_vertices: self.num_vertices,
-            num_edges: self.num_edges,
-            out: self.out.permute(perm, &inv),
-            inn: self.inn.permute(perm, &inv),
-        }
+        self.apply_permutation_with(perm, &Pool::new(1))
     }
 
-    /// Pooled counterpart of [`Csr::apply_permutation`]: the direct
-    /// CSR-to-CSR relabel/scatter with index construction, neighbor
-    /// relabeling, and canonical sorting divided across the pool's
-    /// workers (edge-balanced). Structurally identical (`==`) results
-    /// for every pool size; a single-worker pool falls back to the
-    /// sequential path.
+    /// Relabels every vertex according to `perm` using the worker
+    /// pool: the direct CSR-to-CSR relabel/scatter with neighbor
+    /// relabeling and canonical sorting divided across the pool's
+    /// workers (edge-balanced).
+    ///
+    /// No intermediate [`EdgeList`] is materialized and no counting
+    /// sort is repeated, but the result is structurally identical
+    /// (`==`) to rebuilding from the relabeled edge list, for every
+    /// pool size.
     ///
     /// # Panics
     ///
     /// Panics if the permutation length differs from the vertex count.
     pub fn apply_permutation_with(&self, perm: &Permutation, pool: &Pool) -> Csr {
         assert_eq!(perm.len(), self.num_vertices, "permutation length mismatch");
-        if pool.threads() == 1 {
-            return self.apply_permutation(perm);
-        }
         let inv = perm.inverse();
         Csr {
             num_vertices: self.num_vertices,
             num_edges: self.num_edges,
-            out: self.out.permute_with(perm, &inv, pool),
-            inn: self.inn.permute_with(perm, &inv, pool),
+            out: self.out.permute(perm, &inv, pool),
+            inn: self.inn.permute(perm, &inv, pool),
         }
     }
 

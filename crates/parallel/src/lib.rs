@@ -10,8 +10,9 @@
 //! * [`Pool::broadcast`] — run one closure on every worker, blocking
 //!   until all finish (the base primitive everything else builds on);
 //! * [`par_fill`] — safe chunked fill of a slice;
-//! * [`stable_offsets`] — per-worker histogram + prefix-sum merge, the
-//!   core of stable parallel counting sorts (CSR construction);
+//! * [`stable_offsets`] — parallel per-worker histograms merged by
+//!   one sequential prefix sum, the core of stable parallel counting
+//!   sorts (CSR construction);
 //! * [`even_ranges`] / [`edge_balanced_ranges`] — work division,
 //!   including the degree-skew-aware splitter that keeps hub-first
 //!   orderings from starving all but one worker;

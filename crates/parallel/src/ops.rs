@@ -78,7 +78,6 @@ where
 /// grouped by bin, original input order within each bin.
 #[derive(Debug, Clone)]
 pub struct StableOffsets {
-    workers: usize,
     bins: usize,
     /// Flat `workers × bins` start-offset matrix, row per worker.
     offsets: Vec<usize>,
@@ -88,16 +87,6 @@ pub struct StableOffsets {
 }
 
 impl StableOffsets {
-    /// Number of workers (histogram rows).
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Number of bins (histogram columns).
-    pub fn bins(&self) -> usize {
-        self.bins
-    }
-
     /// Worker `w`'s start offset per bin. Clone it into a local cursor
     /// and post-increment per scattered item.
     pub fn row(&self, worker: usize) -> &[usize] {
@@ -125,19 +114,11 @@ impl StableOffsets {
 /// Per-worker histogram + prefix-sum merge: counts `bin_of(i)` for
 /// every item `i` of every range in parallel, then merges the
 /// per-worker histograms into stable scatter offsets (bin-major, then
-/// worker-major — i.e. original input order within each bin, because
+/// worker-minor — i.e. original input order within each bin, because
 /// `ranges[w]` must be the `w`-th *contiguous* piece of the input).
 ///
-/// Both the counting pass and the (column-strided) prefix merge run on
-/// the pool; only the `O(parts)` chunk-total prefix is sequential.
-///
-/// # Safety argument for the internal `unsafe`
-///
-/// The prefix merge writes through [`SyncSlice`] without locks: each
-/// pool task owns a disjoint range of bins, and every cell it touches
-/// (`w * bins + b`, plus `bin_starts[b]`) is indexed by a bin `b`
-/// from its own range — tasks therefore never alias a cell, and both
-/// borrows end before the enclosing scope returns the vectors.
+/// The O(items) counting pass runs on the pool; the O(workers × bins)
+/// merge is one sequential prefix sum.
 ///
 /// # Example
 ///
@@ -178,70 +159,24 @@ where
             row[bin_of(i)] += 1;
         }
     });
-    // Pass 2: column-major exclusive prefix sum, parallel over bin
-    // chunks. Each chunk first accumulates relative offsets...
+    // Pass 2: one exclusive prefix sum over the matrix in that same
+    // bin-major, worker-minor order, turning each count into its first
+    // output slot.
     let mut offsets = counts;
     let mut bin_starts = vec![0usize; bins + 1];
-    let bin_ranges = even_ranges(bins, pool.threads());
-    let mut chunk_totals = vec![0usize; bin_ranges.len()];
-    {
-        let off = SyncSlice::new(&mut offsets);
-        let starts = SyncSlice::new(&mut bin_starts);
-        par_fill(pool, &mut chunk_totals, |j| {
-            let mut acc = 0usize;
-            for b in bin_ranges[j].clone() {
-                // SAFETY: bin chunk j touches only columns in its
-                // (disjoint) bin range.
-                unsafe { starts.write(b, acc) };
-                for w in 0..workers {
-                    let idx = w * bins + b;
-                    // SAFETY: same disjoint-columns argument.
-                    let c = unsafe { off.read(idx) };
-                    // SAFETY: same disjoint-columns argument.
-                    unsafe { off.write(idx, acc) };
-                    acc += c;
-                }
-            }
-            acc
-        });
-    }
-    // ...then a sequential O(parts) prefix over chunk totals...
-    let mut bases = vec![0usize; bin_ranges.len()];
     let mut acc = 0usize;
-    for (base, &t) in bases.iter_mut().zip(&chunk_totals) {
-        *base = acc;
-        acc += t;
+    for (b, start) in (0..bins).zip(&mut bin_starts) {
+        *start = acc;
+        for cell in offsets.iter_mut().skip(b).step_by(bins) {
+            let count = *cell;
+            *cell = acc;
+            acc += count;
+        }
     }
-    let total = acc;
-    // ...and a parallel pass rebasing every chunk.
-    {
-        let off = SyncSlice::new(&mut offsets);
-        let starts = SyncSlice::new(&mut bin_starts);
-        let bases = &bases;
-        let bin_ranges_ref = &bin_ranges;
-        pool.broadcast(|w| {
-            for j in (w..bin_ranges_ref.len()).step_by(pool.threads()) {
-                let base = bases[j];
-                if base == 0 {
-                    continue;
-                }
-                for b in bin_ranges_ref[j].clone() {
-                    // SAFETY: disjoint bin columns per chunk j, and
-                    // each j is visited by exactly one worker.
-                    unsafe { starts.write(b, starts.read(b) + base) };
-                    for wk in 0..workers {
-                        let idx = wk * bins + b;
-                        // SAFETY: same disjoint-columns-per-chunk
-                        // argument as the rebase above.
-                        unsafe { off.write(idx, off.read(idx) + base) };
-                    }
-                }
-            }
-        });
+    if let Some(total) = bin_starts.last_mut() {
+        *total = acc;
     }
-    bin_starts[bins] = total;
     StableOffsets {
-        workers,
         bins,
         offsets,
         bin_starts,

@@ -5,8 +5,7 @@ use std::ops::Range;
 
 /// A copyable, thread-shareable view of a mutable slice for kernels
 /// whose writes are disjoint *by construction* rather than by
-/// contiguous chunks (counting-sort scatters, column-strided prefix
-/// merges).
+/// contiguous chunks (counting-sort scatters, per-vertex row sorts).
 ///
 /// This is the one unsafe primitive of the crate: all accessors are
 /// `unsafe fn`s whose contract is that no two concurrent accesses
@@ -92,21 +91,6 @@ impl<'a, T> SyncSlice<'a, T> {
     pub unsafe fn write(self, index: usize, value: T) {
         debug_assert!(index < self.len);
         *self.ptr.add(index) = value;
-    }
-
-    /// Reads slot `index`.
-    ///
-    /// # Safety
-    ///
-    /// `index` must be in bounds, and no other thread may concurrently
-    /// write slot `index`.
-    #[inline]
-    pub unsafe fn read(self, index: usize) -> T
-    where
-        T: Copy,
-    {
-        debug_assert!(index < self.len);
-        *self.ptr.add(index)
     }
 
     /// Reborrows `range` as a mutable subslice.
